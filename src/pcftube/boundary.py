@@ -2,7 +2,8 @@
 
 Balls live in the effective resistance metric.  The maximal function at a
 vertex is the exact supremum over all resolvable ball averages, obtained by
-sweeping the sorted distinct radii from that vertex.  Approach regions
+sweeping the distinct radii from that vertex (ties merged by the metric's
+tie rule) in an order the metric sorts once.  Approach regions
 ("cones") over a point x are the sets R(x,y)^(d+1) < alpha t^2, optionally
 truncated in time; they drive the nontangential-limit and barrier
 experiments.
@@ -19,12 +20,12 @@ from .core import ResistanceMetric, VertexGraph
 from .kernels import KernelEvaluator
 
 
-def _ball_average_max(order_r, cum_mass, cum_num):
-    """Max prefix ratio over prefixes that end at a strict radius increase."""
-    n = order_r.size
-    ends = np.flatnonzero(np.diff(order_r) > 0.0)
-    ends = np.append(ends, n - 1)
-    return float(np.max(cum_num[ends] / cum_mass[ends]))
+def _maximal(metric: ResistanceMetric, weights: np.ndarray) -> np.ndarray:
+    """Largest ratio weights(B) / mu(B) over the realizable balls B about each
+    vertex.  Weights are nonnegative, so the zero ratios at prefixes that are
+    not balls (mass inf) never exceed a ball's ratio."""
+    order, masses = metric.realizable_balls()
+    return np.array([np.max(np.cumsum(weights[o]) / m) for o, m in zip(order, masses)])
 
 
 def maximal_function(metric: ResistanceMetric, f: np.ndarray) -> np.ndarray:
@@ -34,33 +35,15 @@ def maximal_function(metric: ResistanceMetric, f: np.ndarray) -> np.ndarray:
     attained on the finite family of balls realizable at this level, all of
     which are scanned.
     """
-    graph = metric.graph
-    f = np.asarray(f, dtype=float)
-    mass = graph.vertex_mass
-    weighted = mass * np.abs(f)
-    R = metric.matrix()
-    out = np.empty(graph.n_vertices)
-    for x in range(graph.n_vertices):
-        order = np.argsort(R[x], kind="stable")
-        rs = R[x][order]
-        out[x] = _ball_average_max(rs, np.cumsum(mass[order]), np.cumsum(weighted[order]))
-    return out
+    return _maximal(metric, metric.graph.vertex_mass * np.abs(np.asarray(f, dtype=float)))
 
 
 def maximal_measure(metric: ResistanceMetric, atoms) -> np.ndarray:
     """Maximal function of a finite atomic measure (vertex, weight) list."""
-    graph = metric.graph
-    mass = graph.vertex_mass
-    atom_vec = np.zeros(graph.n_vertices)
+    atom_vec = np.zeros(metric.graph.n_vertices)
     for vertex, weight in atoms:
         atom_vec[int(vertex)] += abs(float(weight))
-    R = metric.matrix()
-    out = np.empty(graph.n_vertices)
-    for x in range(graph.n_vertices):
-        order = np.argsort(R[x], kind="stable")
-        rs = R[x][order]
-        out[x] = _ball_average_max(rs, np.cumsum(mass[order]), np.cumsum(atom_vec[order]))
-    return out
+    return _maximal(metric, atom_vec)
 
 
 @dataclass
@@ -112,6 +95,24 @@ class Cone:
         return 0.0 < t < self.height and r_from_apex ** (d + 1.0) < self.aperture * t * t
 
 
+def _cone_running_max(cone: Cone, r_row: np.ndarray, d: float, ts: np.ndarray, field) -> tuple[np.ndarray, bool]:
+    """errs[i] = max of |field(j, ts[j])| over the cone members at ts[j], j <= i.
+
+    ``ts`` ascends; ``field`` is called only at times where the cone has a
+    member.  Also returns whether any time had one.
+    """
+    errs = np.empty(ts.size)
+    running = 0.0
+    any_member = False
+    for i, t in enumerate(ts):
+        ids = cone.members(r_row, d, float(t))
+        if ids.size:
+            any_member = True
+            running = max(running, float(np.abs(field(i, float(t))[ids]).max()))
+        errs[i] = running
+    return errs, any_member
+
+
 @dataclass
 class ConeSupReport:
     sup: float
@@ -157,16 +158,7 @@ def nontangential_error(
     d = graph.structure.dim
     r_row = metric.from_vertex(cone.apex)
     ts = np.sort(np.asarray(list(t_ladder), dtype=float))
-    errs = np.empty(ts.size)
-    running = 0.0
-    any_member = False
-    for i, t in enumerate(ts):
-        ids = cone.members(r_row, d, float(t))
-        if ids.size:
-            any_member = True
-            u = ev.poisson_integral(f, float(t))
-            running = max(running, float(np.abs(u[ids] - target).max()))
-        errs[i] = running
+    errs, any_member = _cone_running_max(cone, r_row, d, ts, lambda i, t: ev.poisson_integral(f, t) - target)
     if not any_member:
         raise ValueError("cone contains no sampled points on the ladder")
     return ts, errs
@@ -213,12 +205,11 @@ def ball_mass_lower(
     """
     graph = ev.graph
     d = graph.structure.dim
-    r_row = metric.from_vertex(x)
     ts = np.asarray(list(t_ladder), dtype=float)
     out = np.empty(ts.size)
     for i, t in enumerate(ts):
         radius = (alpha * t * t) ** (1.0 / (d + 1.0))
-        ids = np.flatnonzero(r_row < radius)
+        ids, _ = metric.ball(x, radius)
         if ids.size <= 1:
             raise ValueError(f"ball of radius {radius:.3e} is below the level resolution")
         row = ev.poisson_row(float(t), x)
@@ -268,6 +259,10 @@ class BoundarySet:
         np.add.at(weights, graph.cells[outside].ravel(), np.repeat(graph.cell_measures[outside] / nB, nB))
         return weights
 
+    def distance(self, metric: ResistanceMetric) -> np.ndarray:
+        """Resistance distance from every vertex to the vertex set of E."""
+        return metric.matrix()[:, self.vertex_indicator].min(axis=1)
+
 
 @dataclass
 class BarrierResult:
@@ -304,12 +299,9 @@ def barrier(
     d = graph.structure.dim
     ts = np.sort(np.asarray(list(t_grid), dtype=float))
 
-    comp = E.complement_weights()
-    atoms = [(v, comp[v]) for v in np.flatnonzero(comp > 0.0)]
-    coeffs = ev.coefficients(atoms)
-    values = np.empty((ts.size, graph.n_vertices))
-    for i, t in enumerate(ts):
-        values[i] = ev.vectors @ (np.exp(-ev.sqrt_lam * t) * coeffs) + t
+    # P_t of the complement measure, as the Poisson integral of its density.
+    density = E.complement_weights() / ev.mass
+    values = np.vstack([ev.poisson_integral(density, float(t)) + t for t in ts])
 
     if E.measure == 0.0:
         # Degenerate barrier: the smoothing of the full measure is the
@@ -323,9 +315,7 @@ def barrier(
             proxies=[],
         )
 
-    R = metric.matrix()
-    e_verts = np.flatnonzero(E.vertex_indicator)
-    dist_e = R[:, e_verts].min(axis=1)
+    dist_e = E.distance(metric)
 
     boundary_vals = []
     for i, t in enumerate(ts):
@@ -335,13 +325,12 @@ def barrier(
     # t = 1 cap over the open region
     cap_members = np.flatnonzero(dist_e ** (d + 1.0) < alpha)
     if 1.0 >= ts[0]:
-        cap_vals = ev.vectors @ (np.exp(-ev.sqrt_lam * 1.0) * coeffs) + 1.0
+        cap_vals = ev.poisson_integral(density, 1.0) + 1.0
         boundary_vals.extend(cap_vals[cap_members])
     if not boundary_vals:
         raise ValueError("no lateral boundary samples at this resolution")
 
-    outside_verts = np.flatnonzero(~E.vertex_indicator)
-    dist_comp = R[:, outside_verts].min(axis=1)
+    dist_comp = metric.matrix()[:, ~E.vertex_indicator].min(axis=1)
     interior = np.flatnonzero(E.vertex_indicator & (dist_comp > 0.0))
     if interior.size == 0:
         raise ValueError("E has no interior vertices at this level")
@@ -350,14 +339,7 @@ def barrier(
     decay = {}
     for v in proxies:
         cone = Cone(apex=v, aperture=alpha, height=1.0)
-        running = 0.0
-        errs = np.empty(ts.size)
-        for i, t in enumerate(ts):
-            ids = cone.members(R[v], d, float(t))
-            if ids.size:
-                running = max(running, float(np.abs(values[i, ids]).max()))
-            errs[i] = running
-        decay[v] = errs
+        decay[v], _ = _cone_running_max(cone, metric.from_vertex(v), d, ts, lambda i, t: values[i])
 
     return BarrierResult(
         t_grid=ts,
@@ -413,16 +395,16 @@ def cone_cover_check(
     if height_override is not None:
         h = float(height_override)
 
-    e_verts = np.flatnonzero(E.vertex_indicator)
-    dist_e = R[:, e_verts].min(axis=1)
+    dist_e = E.distance(metric)
 
     if t_grid is None:
         t_grid = np.geomspace(h / 64.0, h * 0.999, 12)
     checked = violations = 0
+    cone = Cone(x, alpha)
     for t in t_grid:
         if not 0.0 < t < min(h, 1.0):
             continue
-        members = np.flatnonzero(R[x] ** (d + 1.0) < alpha * t * t)
+        members = cone.members(R[x], d, float(t))
         for y in members:
             checked += 1
             if not dist_e[y] ** (d + 1.0) < t * t / k:

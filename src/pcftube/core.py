@@ -4,9 +4,11 @@ A structure is a finite family of affine contractions of R^n together with a
 boundary point set V_0, a list of identification relations F_i(x_p) = F_j(x_q)
 describing how first-level cells touch, and a regular harmonic structure
 (D, r).  From these we build, for any level m, the glued vertex set
-V_m = union of F_w(V_0) over words w of length m, the self-similar measure
-(lumped to vertex masses), and the effective resistance metric of the
-associated resistor network.
+V_m = union of F_w(V_0) over words w of length m and the self-similar measure
+(lumped to vertex masses).  The effective resistance metric of the associated
+resistor network is read off the Neumann eigenbasis of the level-m energy
+form (see ``ResistanceMetric``), so each level is factorized once; resistance
+radii are compared under one tie rule, ``TIE_RTOL``.
 
 Gluing is purely combinatorial: identification relations are propagated to
 every scale through a union-find, and embedding coordinates are used only to
@@ -19,13 +21,22 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .spectral import EigenBasis
 
 IDENT_TOL = 1e-12
 GLUE_COORD_TOL = 1e-10
 DEFAULT_BUDGET = 200_000
+# Two resistances closer than TIE_RTOL * diameter are the same radius.  Row
+# gaps between sorted resistances are roundoff splits of exact ties (<= 5e-12
+# * diameter) or genuine (>= 5e-9 * diameter) on interval m <= 10, sierpinski
+# m <= 6 and vicsek m <= 4.  Genuine sierpinski gaps shrink 25-50 fold per
+# level (2.0e-10 at m = 7), so deeper levels are not covered.
+TIE_RTOL = 1e-10
 
 
 class StructureError(ValueError):
@@ -531,64 +542,72 @@ def build_level(structure: SelfSimilarStructure, m: int, budget: int = DEFAULT_B
 class ResistanceMetric:
     """Effective resistance metric of the level-m resistor network.
 
-    Single-pair queries ground one vertex and solve the reduced linear
-    system; whole-row or whole-matrix queries go through a cached
-    pseudo-inverse Gram matrix.  Both routes agree and are cross-checked in
-    the tests.
+    Built from the Neumann eigenbasis of the energy form: with mass-orthonormal
+    modes E phi_n = lambda_n M phi_n, G = sum over lambda_n > 0 of
+    phi_n phi_n^T / lambda_n is a generalized inverse of E, so
+    R(x, y) = G(x, x) + G(y, y) - 2 G(x, y) needs no second factorization.
+
+    Radii are compared under the tie rule: two radii closer than
+    TIE_RTOL * diameter are the same radius.  Exact ties (symmetric vertices)
+    otherwise split at roundoff level, in a direction that depends on the
+    factorization.
     """
 
-    def __init__(self, graph: VertexGraph, energy: np.ndarray):
-        if energy.shape != (graph.n_vertices, graph.n_vertices):
-            raise ValueError("energy matrix size does not match the graph")
-        self.graph = graph
-        self.energy = energy
-        self._gram: np.ndarray | None = None
-        self._matrix: np.ndarray | None = None
-
-    def resistance(self, a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        if self._gram is not None:
-            K = self._gram
-            return float(K[a, a] + K[b, b] - 2.0 * K[a, b])
-        n = self.graph.n_vertices
-        keep = np.arange(n) != b
-        rhs = np.zeros(n)
-        rhs[a] = 1.0
-        reduced = self.energy[np.ix_(keep, keep)]
-        try:
-            x = np.linalg.solve(reduced, rhs[keep])
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("resistance solve failed; graph may be disconnected") from exc
-        return float(x[a - (a > b)])
-
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = np.linalg.pinv(self.energy, hermitian=True)
-        return self._gram
+    def __init__(self, basis: EigenBasis):
+        if basis.bc != "neumann":
+            raise ValueError("the resistance metric is built from the Neumann eigenbasis")
+        self.graph = basis.graph
+        pos = basis.eigenvalues > 0.0
+        scaled = basis.vectors[:, pos] / np.sqrt(basis.eigenvalues[pos])
+        R = scaled @ scaled.T  # the Gram matrix G, exactly symmetric
+        diag = np.diag(R).copy()
+        R *= -2.0
+        R += diag[:, None]
+        R += diag[None, :]
+        np.fill_diagonal(R, 0.0)
+        self._matrix = np.maximum(R, 0.0, out=R)
+        self._diameter = float(R.max())
+        self._balls: tuple[np.ndarray, np.ndarray] | None = None
 
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            K = self.gram()
-            diag = np.diag(K)
-            R = diag[:, None] + diag[None, :] - 2.0 * K
-            np.fill_diagonal(R, 0.0)
-            self._matrix = np.maximum(R, 0.0)
         return self._matrix
 
     def from_vertex(self, a: int) -> np.ndarray:
-        return self.matrix()[a]
+        return self._matrix[a]
 
     def diameter(self) -> float:
-        return float(self.matrix().max())
+        return self._diameter
 
     def ball(self, x: int, eps: float) -> tuple[np.ndarray, float]:
-        """Open ball {y : R(x, y) < eps} and its lumped measure."""
+        """Open ball {y : R(x, y) < eps} and its lumped measure; a radius tied
+        with eps lies outside."""
         if eps <= 0.0:
             raise ValueError("radius must be positive")
-        row = self.from_vertex(x)
-        ids = np.flatnonzero(row < eps)
+        ids = np.flatnonzero(self.from_vertex(x) < eps - TIE_RTOL * self._diameter)
         return ids, float(self.graph.vertex_mass[ids].sum())
+
+    def realizable_balls(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every distinct open ball about every vertex, computed once.
+
+        Returns (order, masses), both n x n.  Row x of ``order`` lists the
+        vertices by ascending R(x, .) (stable sort).  The prefix
+        order[x, :k + 1] is a ball when the radius at k is the largest or is
+        followed by an increase beyond the tie rule; masses[x, k] is then its
+        measure, and inf where the prefix ends inside a tie.
+        """
+        if self._balls is None:
+            n = self.graph.n_vertices
+            mass = self.graph.vertex_mass
+            tie = TIE_RTOL * self._diameter
+            order = np.empty((n, n), dtype=np.intp)
+            masses = np.empty((n, n))
+            for x, row in enumerate(self._matrix):
+                o = np.argsort(row, kind="stable")
+                order[x] = o
+                masses[x] = np.cumsum(mass[o])
+                masses[x, :-1][np.diff(row[o]) <= tie] = np.inf
+            self._balls = (order, masses)
+        return self._balls
 
 
 @dataclass
@@ -626,12 +645,11 @@ def scaling_constants(
     arg_lo = arg_hi = (0, 0.0)
     all_cover = True
     for x in sample_vertices:
-        row = metric.from_vertex(int(x))
         for eps in eps_grid:
-            mass = float(graph.vertex_mass[row < eps].sum())
+            ids, mass = metric.ball(int(x), eps)
             if mass <= 0.0:
                 continue
-            all_cover = all_cover and bool((row < eps).all())
+            all_cover = all_cover and ids.size == graph.n_vertices
             ratio = mass / eps**d
             if ratio < best_lo:
                 best_lo, arg_lo = ratio, (int(x), float(eps))

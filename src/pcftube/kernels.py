@@ -72,7 +72,6 @@ class KernelEvaluator:
             pos = basis.eigenvalues[basis.eigenvalues > 0]
             npos = np.flatnonzero(basis.eigenvalues > 0) + 1
             self.growth_lower = float((pos / npos ** ((self.d + 1) / self.d)).min())
-        self._weights: dict[tuple[str, float], np.ndarray] = {}
 
     @property
     def graph(self):
@@ -131,41 +130,26 @@ class KernelEvaluator:
 
     # -- kernel values ---------------------------------------------------------
 
-    def _weight(self, kind: str, t: float) -> np.ndarray:
-        key = (kind, float(t))
-        w = self._weights.get(key)
-        if w is None:
-            expo = self.lam if kind == "heat" else self.sqrt_lam
-            w = np.exp(-expo * t)
-            if len(self._weights) > 256:
-                self._weights.clear()
-            self._weights[key] = w
-        return w
+    def _kernel(self, rate: np.ndarray, t: float, x=slice(None), y=slice(None)):
+        """sum_n e^(-rate_n t) phi_n(x) phi_n(y) for vertices (or all vertices) x and y."""
+        self._check(t)
+        return (self.vectors[x] * np.exp(-rate * t)) @ self.vectors[y].T
 
     def heat(self, t: float, x: int, y: int) -> float:
-        self._check(t)
-        w = self._weight("heat", t)
-        return float(np.dot(self.vectors[x] * w, self.vectors[y]))
+        return float(self._kernel(self.lam, t, x, y))
 
     def poisson(self, t: float, x: int, y: int) -> float:
-        self._check(t)
-        w = self._weight("poisson", t)
-        return float(np.dot(self.vectors[x] * w, self.vectors[y]))
+        return float(self._kernel(self.sqrt_lam, t, x, y))
 
     def heat_matrix(self, t: float) -> np.ndarray:
-        self._check(t)
-        w = self._weight("heat", t)
-        return (self.vectors * w) @ self.vectors.T
+        return self._kernel(self.lam, t)
 
     def poisson_matrix(self, t: float) -> np.ndarray:
-        self._check(t)
-        w = self._weight("poisson", t)
-        return (self.vectors * w) @ self.vectors.T
+        return self._kernel(self.sqrt_lam, t)
 
     def poisson_row(self, t: float, x: int) -> np.ndarray:
         self._check(t)
-        w = self._weight("poisson", t)
-        return self.vectors @ (w * self.vectors[x])
+        return self.vectors @ (np.exp(-self.sqrt_lam * t) * self.vectors[x])
 
     # -- Poisson integrals -------------------------------------------------------
 
@@ -183,13 +167,13 @@ class KernelEvaluator:
         """u(t, .) = sum_n a_n e^{-sqrt(lambda_n) t} phi_n."""
         self._check(t)
         a = self.coefficients(f)
-        return self.vectors @ (self._weight("poisson", t) * a)
+        return self.vectors @ (np.exp(-self.sqrt_lam * t) * a)
 
     def kernel_mass(self, t: float, x: int) -> float:
         """Lumped integral of P(t, x, .) against the measure."""
         self._check(t)
         ones_coef = self.vectors.T @ self.mass
-        return float(np.dot(self._weight("poisson", t) * ones_coef, self.vectors[x]))
+        return float(np.dot(np.exp(-self.sqrt_lam * t) * ones_coef, self.vectors[x]))
 
     # -- subordination -----------------------------------------------------------
 
@@ -242,12 +226,16 @@ def subordination_transform(h, t: float, tol: float = 1e-7) -> float:
         s = t * t / (4.0 * v * v)
         return math.exp(-v * v) * h(s)
 
+    # Refinement starts from panels spanning a factor of sqrt(2) in v each.  For
+    # a distant pair at small t the integrand is a narrow peak at small v; on
+    # fewer, wider panels every initial sample can miss it, and the vanishing
+    # samples then pass the convergence test.
     v0, v1 = 1e-8, 8.0
-    # Split at v = 1 so the quadrature refines the region where the heat
-    # argument sweeps fastest.
-    part1 = adaptive_simpson(integrand, v0, 1.0, tol * math.sqrt(math.pi) / 4.0)
-    part2 = adaptive_simpson(integrand, 1.0, v1, tol * math.sqrt(math.pi) / 4.0)
-    return (part1 + part2) * 2.0 / math.sqrt(math.pi)
+    panels = math.ceil(2.0 * math.log2(v1 / v0))
+    edges = np.geomspace(v0, v1, panels + 1)
+    panel_tol = tol * math.sqrt(math.pi) / (2.0 * panels)
+    total = math.fsum(adaptive_simpson(integrand, a, b, panel_tol) for a, b in zip(edges[:-1], edges[1:]))
+    return total * 2.0 / math.sqrt(math.pi)
 
 
 def semigroup_defect(ev: KernelEvaluator, t: float, s: float, kind: str = "poisson") -> float:

@@ -129,6 +129,7 @@ class SuiteContext:
         self._graphs: dict[int, object] = {}
         self._forms: dict[int, spec.EnergyForm] = {}
         self._bases: dict[tuple[int, str], spec.EigenBasis] = {}
+        self._evaluators: dict[tuple[int, str], ker.KernelEvaluator] = {}
         self._metrics: dict[int, ResistanceMetric] = {}
 
     def graph(self, level: int | None = None):
@@ -151,12 +152,16 @@ class SuiteContext:
         return self._bases[key]
 
     def evaluator(self, bc: str, level: int | None = None) -> ker.KernelEvaluator:
-        return ker.KernelEvaluator(self.basis(bc, level), ker.TruncationPolicy(tail_tol=self.tol))
+        lvl = self.level if level is None else level
+        key = (lvl, bc)
+        if key not in self._evaluators:
+            self._evaluators[key] = ker.KernelEvaluator(self.basis(bc, lvl), ker.TruncationPolicy(tail_tol=self.tol))
+        return self._evaluators[key]
 
     def metric(self, level: int | None = None) -> ResistanceMetric:
         lvl = self.level if level is None else level
         if lvl not in self._metrics:
-            self._metrics[lvl] = ResistanceMetric(self.graph(lvl), self.form(lvl).matrix)
+            self._metrics[lvl] = ResistanceMetric(self.basis("neumann", lvl))
         return self._metrics[lvl]
 
     def rng(self) -> np.random.Generator:
@@ -673,9 +678,7 @@ def _boundary_suite(ctx: SuiteContext, r: _Runner) -> None:
         ts = np.geomspace(0.02, 0.9, 10)
         res = bnd.barrier(evN, E, alpha, ts, met)
         mtilde = max(1.0 / res.boundary_min, 1.0)
-        R = met.matrix()
-        e_verts = np.flatnonzero(E.vertex_indicator)
-        dist_e = R[:, e_verts].min(axis=1)
+        dist_e = E.distance(met)
         g = np.tanh(rng.standard_normal(graph.n_vertices))
         worst = math.inf
         for n in (4, 8):

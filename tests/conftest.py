@@ -38,7 +38,7 @@ class Stack:
     @property
     def metric(self) -> ResistanceMetric:
         if self._metric is None:
-            self._metric = ResistanceMetric(self.graph, self.form.matrix)
+            self._metric = ResistanceMetric(self.basis("neumann"))
         return self._metric
 
 

@@ -7,6 +7,7 @@ between the two is meaningful.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -98,6 +99,57 @@ def gasket_brute_dirichlet_matrix(m: int) -> np.ndarray:
     bidx = [int(np.where((uniq == np.round(c, 12)).all(axis=1))[0][0]) for c in corners]
     keep = [i for i in range(n) if i not in bidx]
     return L[np.ix_(keep, keep)]
+
+
+# -- resistance metric ----------------------------------------------------------------
+
+
+def grounded_resistance(E: np.ndarray, a: int, b: int) -> float:
+    """R(a, b) from one linear solve: ground b, inject a unit current at a."""
+    if a == b:
+        return 0.0
+    n = E.shape[0]
+    keep = np.arange(n) != b
+    rhs = np.zeros(n)
+    rhs[a] = 1.0
+    x = np.linalg.solve(E[np.ix_(keep, keep)], rhs[keep])
+    return float(x[a - (a > b)])
+
+
+def exact_resistance(graph) -> np.ndarray:
+    """Whole resistance matrix in exact rational arithmetic, returned as floats.
+
+    The energy form is assembled from the structure's D and r as fractions
+    (r_i rounded to the nearest fraction with denominator <= 10**6, exact for
+    the presets), vertex 0 is grounded and the reduced form is inverted by
+    Gauss-Jordan elimination, so exact resistance ties stay exact.  Cost grows
+    quickly with the level: sierpinski m=3 (42 vertices) takes a fraction of a
+    second, m=4 several seconds.
+    """
+    S = graph.structure
+    n = graph.n_vertices
+    D = [[Fraction(float(v)).limit_denominator(10**6) for v in row] for row in np.asarray(S.harmonic.D)]
+    r = [Fraction(float(v)).limit_denominator(10**6) for v in S.harmonic.r]
+    E = [[Fraction(0)] * n for _ in range(n)]
+    for word, ids in zip(graph.words, graph.cells.tolist()):
+        conductance = Fraction(1)
+        for s in word:
+            conductance /= r[s]
+        for p, a in enumerate(ids):
+            for q, b in enumerate(ids):
+                E[a][b] -= conductance * D[p][q]
+    # Gauss-Jordan on [E_00 | I] with vertex 0 grounded; E_00 is positive definite.
+    k = n - 1
+    rows = [E[i][1:] + [Fraction(int(i == j)) for j in range(1, n)] for i in range(1, n)]
+    for col in range(k):
+        pivot = rows[col][col]
+        rows[col] = [v / pivot for v in rows[col]]
+        for i in range(k):
+            factor = rows[i][col]
+            if i != col and factor:
+                rows[i] = [u - factor * v for u, v in zip(rows[i], rows[col])]
+    G = [[Fraction(0)] * n] + [[Fraction(0)] + row[k:] for row in rows]
+    return np.array([[float(G[a][a] + G[b][b] - 2 * G[a][b]) for b in range(n)] for a in range(n)])
 
 
 # -- brute-force maximal function ---------------------------------------------------

@@ -19,7 +19,7 @@ from pcftube.boundary import (
 )
 from pcftube.tube import tube_sample
 
-from oracles import brute_maximal, brute_maximal_measure
+from oracles import brute_maximal, brute_maximal_measure, exact_resistance
 
 
 # -- maximal function -----------------------------------------------------------------
@@ -40,11 +40,13 @@ def test_maximal_step_function_value(stacks):
 
 
 def test_maximal_matches_brute_force(stacks, rng):
+    # The oracle sweeps exact rational resistances, whose ties are exact.
     st = stacks("sierpinski", 3)
+    R = exact_resistance(st.graph)
+    assert np.abs(st.metric.matrix() - R).max() <= 1e-13 * R.max()
     f = rng.standard_normal(st.graph.n_vertices)
     mf = maximal_function(st.metric, f)
-    R = st.metric.matrix()
-    for x in range(0, st.graph.n_vertices, 5):
+    for x in range(st.graph.n_vertices):
         assert mf[x] == pytest.approx(brute_maximal(R, st.graph.vertex_mass, f, x), abs=1e-12)
 
 

@@ -112,6 +112,19 @@ def test_subordination_agrees_with_series(stacks):
                         assert quad == pytest.approx(series, abs=1e-6)
 
 
+def test_subordination_small_t_distant_pairs(stacks):
+    # At small t the integrand for a distant pair is a narrow peak at small v;
+    # (307, 251) at t = 0.01 is a pair whose peak a coarse start missed.
+    st = stacks("sierpinski", 5)
+    rng = np.random.default_rng(11)
+    pairs = [(307, 251)] + [tuple(map(int, p)) for p in rng.integers(0, st.graph.n_vertices, size=(12, 2))]
+    for bc in ("dirichlet", "neumann"):
+        ev = st.evaluator(bc)
+        for t in (0.01, 0.02, 0.03):
+            for x, y in pairs:
+                assert ev.poisson_via_subordination(t, x, y) == pytest.approx(ev.poisson(t, x, y), abs=1e-6)
+
+
 # -- Poisson integrals ------------------------------------------------------------------
 
 

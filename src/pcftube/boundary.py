@@ -25,7 +25,15 @@ def _maximal(metric: ResistanceMetric, weights: np.ndarray) -> np.ndarray:
     vertex.  Weights are nonnegative, so the zero ratios at prefixes that are
     not balls (mass inf) never exceed a ball's ratio."""
     order, masses = metric.realizable_balls()
-    return np.array([np.max(np.cumsum(weights[o]) / m) for o, m in zip(order, masses)])
+    n = order.shape[0]
+    rows = max(1, 2**17 // n)  # a block of rows is about 1 MB of float64
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        ratios = np.cumsum(weights[order[block]], axis=1)
+        ratios /= masses[block]
+        out[block] = ratios.max(axis=1)
+    return out
 
 
 def maximal_function(metric: ResistanceMetric, f: np.ndarray) -> np.ndarray:
@@ -40,9 +48,9 @@ def maximal_function(metric: ResistanceMetric, f: np.ndarray) -> np.ndarray:
 
 def maximal_measure(metric: ResistanceMetric, atoms) -> np.ndarray:
     """Maximal function of a finite atomic measure (vertex, weight) list."""
+    pairs = np.asarray(list(atoms), dtype=float).reshape(-1, 2)
     atom_vec = np.zeros(metric.graph.n_vertices)
-    for vertex, weight in atoms:
-        atom_vec[int(vertex)] += abs(float(weight))
+    np.add.at(atom_vec, pairs[:, 0].astype(int), np.abs(pairs[:, 1]))
     return _maximal(metric, atom_vec)
 
 
@@ -168,26 +176,23 @@ def shifted_kernel_constant(
     ev: KernelEvaluator, metric: ResistanceMetric, x: int, cone: Cone, t_grid
 ) -> float:
     """Empirical C with P(t,y,z) <= C min{t^(-2d/(d+1)), t/R(x,z)^((3d+1)/2)}
-    over sampled cone members (t, y) and targets z."""
+    over sampled cone members (t, y) and targets z; entries with P <= 0 are
+    skipped.  The cone is taken over ``cone.apex``, the bound in R(x, .)."""
     d = ev.d
-    r_row = metric.from_vertex(cone.apex)
-    R = metric.matrix()
+    r_apex = metric.from_vertex(cone.apex)
+    r = metric.from_vertex(x)
+    decay = r ** ((3.0 * d + 1.0) / 2.0)
     best = 0.0
     for t in t_grid:
-        members = cone.members(r_row, d, float(t))
+        t = float(t)
+        members = cone.members(r_apex, d, t)
         if members.size == 0:
             continue
-        branch1 = float(t) ** (-2.0 * d / (d + 1.0))
-        P = ev.poisson_matrix(float(t))
-        for y in members:
-            for z in range(ev.graph.n_vertices):
-                rxz = R[x, z]
-                if rxz <= 0.0:
-                    bound = branch1
-                else:
-                    bound = min(branch1, float(t) / rxz ** ((3.0 * d + 1.0) / 2.0))
-                if P[y, z] > 0.0:
-                    best = max(best, P[y, z] / bound)
+        branch1 = t ** (-2.0 * d / (d + 1.0))
+        with np.errstate(divide="ignore"):
+            bound = np.where(r > 0.0, np.minimum(branch1, t / decay), branch1)
+        P = ev.poisson_row(t, members)
+        best = max(best, float(np.where(P > 0.0, P / bound, 0.0).max()))
     return best
 
 
@@ -405,10 +410,9 @@ def cone_cover_check(
         if not 0.0 < t < min(h, 1.0):
             continue
         members = cone.members(R[x], d, float(t))
-        for y in members:
-            checked += 1
-            if not dist_e[y] ** (d + 1.0) < t * t / k:
-                violations += 1
+        checked += members.size
+        # "not <" rather than ">=", so that a NaN distance counts as a violation
+        violations += np.count_nonzero(~(dist_e[members] ** (d + 1.0) < t * t / k))
     return CoverReport(
         delta=delta,
         height=float(h),

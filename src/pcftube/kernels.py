@@ -130,9 +130,17 @@ class KernelEvaluator:
 
     # -- kernel values ---------------------------------------------------------
 
-    def _kernel(self, rate: np.ndarray, t: float, x=slice(None), y=slice(None)):
-        """sum_n e^(-rate_n t) phi_n(x) phi_n(y) for vertices (or all vertices) x and y."""
+    def _kernel(self, rate: np.ndarray, t: float, x=slice(None), y=None):
+        """sum_n e^(-rate_n t) phi_n(x) phi_n(y) for vertices (or all vertices) x and y.
+
+        With y omitted (y = x) the kernel is A A^T with A = phi(x) e^(-rate t/2):
+        BLAS evaluates that product as a symmetric rank-k update, so the matrix
+        is exactly symmetric at half the cost of a general product.
+        """
         self._check(t)
+        if y is None:
+            A = self.vectors[x] * np.exp(-0.5 * t * rate)
+            return A @ A.T
         return (self.vectors[x] * np.exp(-rate * t)) @ self.vectors[y].T
 
     def heat(self, t: float, x: int, y: int) -> float:
@@ -147,9 +155,9 @@ class KernelEvaluator:
     def poisson_matrix(self, t: float) -> np.ndarray:
         return self._kernel(self.sqrt_lam, t)
 
-    def poisson_row(self, t: float, x: int) -> np.ndarray:
-        self._check(t)
-        return self.vectors @ (np.exp(-self.sqrt_lam * t) * self.vectors[x])
+    def poisson_row(self, t: float, x) -> np.ndarray:
+        """P(t, x, .) for a vertex x (a row), or rows for an index array x."""
+        return self._kernel(self.sqrt_lam, t, x, slice(None))
 
     # -- Poisson integrals -------------------------------------------------------
 
@@ -243,9 +251,10 @@ def semigroup_defect(ev: KernelEvaluator, t: float, s: float, kind: str = "poiss
     if kind not in ("poisson", "heat"):
         raise ValueError("kind must be 'poisson' or 'heat'")
     mat = ev.poisson_matrix if kind == "poisson" else ev.heat_matrix
-    Pt, Ps, Pts = mat(t), mat(s), mat(t + s)
-    comp = Pt @ (ev.mass[:, None] * Ps)
-    return float(np.abs(comp - Pts).max())
+    # One product at a time and in place: three n x n arrays live at most.
+    comp = mat(t) @ (ev.mass[:, None] * mat(s))
+    comp -= mat(t + s)
+    return float(np.abs(comp, out=comp).max())
 
 
 @dataclass
@@ -258,39 +267,45 @@ class BoundConstants:
     C_prime_at: tuple[float, int, int]
 
 
+def _first_max(ratio: np.ndarray, skip: np.ndarray) -> tuple[float, int]:
+    """Largest ratio outside ``skip`` and the first index holding it."""
+    ratio[skip] = -math.inf
+    if ratio.size == 0:
+        return -math.inf, 0
+    k = int(np.argmax(ratio))
+    return float(ratio[k]), k
+
+
 def bound_constant(ev: KernelEvaluator, metric, t_grid, pairs=None) -> BoundConstants:
     """Sweep P(t,x,y) against min{t^(-2d/(d+1)), t / R^((3d+1)/2)}.
 
-    ``pairs`` defaults to all vertex pairs; on the diagonal only the first
-    branch applies.
+    ``pairs`` defaults to all vertex pairs x <= y; on the diagonal only the
+    first branch applies.  Pairs with P <= 0 are skipped, and each ``*_at``
+    names the first strict maximum in (t, pair) order.
     """
     d = ev.d
-    n = ev.graph.n_vertices
-    R = metric.matrix()
     if pairs is None:
-        pairs = [(x, y) for x in range(n) for y in range(x, n)]
+        xs, ys = np.triu_indices(ev.graph.n_vertices)
+    else:
+        xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    r = metric.matrix()[xs, ys]
+    decay = r ** ((3.0 * d + 1.0) / 2.0)
+    spread = r ** (d + 1.0)
     best = best_p = -math.inf
     at = at_p = (0.0, 0, 0)
     for t in t_grid:
-        P = ev.poisson_matrix(t)
+        val = ev.poisson_matrix(t)[xs, ys]
+        skip = val <= 0.0
         branch1 = t ** (-2.0 * d / (d + 1.0))
-        for x, y in pairs:
-            val = P[x, y]
-            if val <= 0.0:
-                continue
-            r = R[x, y]
-            if r > 0.0:
-                bound = min(branch1, t / r ** ((3.0 * d + 1.0) / 2.0))
-                combined = t / (t * t + r ** (d + 1.0)) ** ((3.0 * d + 1.0) / (2.0 * (d + 1.0)))
-            else:
-                bound = branch1
-                combined = t / (t * t) ** ((3.0 * d + 1.0) / (2.0 * (d + 1.0)))
-            ratio = val / bound
-            if ratio > best:
-                best, at = ratio, (float(t), x, y)
-            ratio_p = val / combined
-            if ratio_p > best_p:
-                best_p, at_p = ratio_p, (float(t), x, y)
+        with np.errstate(divide="ignore"):
+            bound = np.where(r > 0.0, np.minimum(branch1, t / decay), branch1)
+        combined = t / (t * t + spread) ** ((3.0 * d + 1.0) / (2.0 * (d + 1.0)))
+        c, k = _first_max(val / bound, skip)
+        if c > best:
+            best, at = c, (float(t), int(xs[k]), int(ys[k]))
+        c, k = _first_max(val / combined, skip)
+        if c > best_p:
+            best_p, at_p = c, (float(t), int(xs[k]), int(ys[k]))
     return BoundConstants(C=best, C_at=at, C_prime=best_p, C_prime_at=at_p)
 
 

@@ -176,3 +176,58 @@ def brute_maximal_measure(R: np.ndarray, mass: np.ndarray, atom_vec: np.ndarray,
         ball = R[x] < eps
         best = max(best, float(atom_vec[ball].sum() / mass[ball].sum()))
     return best
+
+
+# -- brute-force kernel bound sweeps --------------------------------------------------
+
+
+def brute_bound_constant(P_by_t, R: np.ndarray, d: float, t_grid, pairs):
+    """Pair-by-pair sweep of P(t,x,y) against the two-branch bound and the
+    combined bound t / (t^2 + R^(d+1))^((3d+1)/(2(d+1))).
+
+    ``P_by_t[i]`` is the dense kernel matrix at ``t_grid[i]``.  Pairs with
+    P <= 0 are skipped; each maximum keeps the first (t, x, y) attaining it.
+    Returns (C, C_at, C_prime, C_prime_at).
+    """
+    best = best_p = -math.inf
+    at = at_p = (0.0, 0, 0)
+    for t, P in zip(t_grid, P_by_t):
+        t = float(t)
+        branch1 = t ** (-2.0 * d / (d + 1.0))
+        for x, y in pairs:
+            val = float(P[x, y])
+            if val <= 0.0:
+                continue
+            r = float(R[x, y])
+            if r > 0.0:
+                bound = min(branch1, t / r ** ((3.0 * d + 1.0) / 2.0))
+            else:
+                bound = branch1
+            combined = t / (t * t + r ** (d + 1.0)) ** ((3.0 * d + 1.0) / (2.0 * (d + 1.0)))
+            if val / bound > best:
+                best, at = val / bound, (t, int(x), int(y))
+            if val / combined > best_p:
+                best_p, at_p = val / combined, (t, int(x), int(y))
+    return best, at, best_p, at_p
+
+
+def brute_shifted_kernel_constant(P_by_t, R: np.ndarray, d: float, x: int, apex: int, aperture: float, height: float, t_grid) -> float:
+    """max of P(t,y,z) / min{t^(-2d/(d+1)), t / R(x,z)^((3d+1)/2)} over every
+    t in ``t_grid``, every y with 0 < t < height and R(apex,y)^(d+1) <
+    aperture t^2, and every target z with P > 0; 0 when there is none."""
+    n = R.shape[0]
+    best = 0.0
+    for t, P in zip(t_grid, P_by_t):
+        t = float(t)
+        if not 0.0 < t < height:
+            continue
+        branch1 = t ** (-2.0 * d / (d + 1.0))
+        for y in range(n):
+            if not float(R[apex, y]) ** (d + 1.0) < aperture * t * t:
+                continue
+            for z in range(n):
+                r = float(R[x, z])
+                bound = min(branch1, t / r ** ((3.0 * d + 1.0) / 2.0)) if r > 0.0 else branch1
+                if P[y, z] > 0.0:
+                    best = max(best, float(P[y, z]) / bound)
+    return best

@@ -19,7 +19,7 @@ from pcftube.boundary import (
 )
 from pcftube.tube import tube_sample
 
-from oracles import brute_maximal, brute_maximal_measure, exact_resistance
+from oracles import brute_maximal, brute_maximal_measure, brute_shifted_kernel_constant, exact_resistance
 
 
 # -- maximal function -----------------------------------------------------------------
@@ -213,6 +213,28 @@ def test_shifted_kernel_constant_finite(stacks):
     x = st.graph.vertex_id((0,), 1)
     c = shifted_kernel_constant(ev, st.metric, x, Cone(x, 1.0), [0.1, 0.3])
     assert math.isfinite(c) and c > 0.0
+
+
+@pytest.mark.parametrize(
+    "preset, m, x_word, apex_word, height, t_grid",
+    [
+        ("sierpinski", 4, ((0, 1), 2), ((0, 1), 2), math.inf, [0.05, 0.1, 0.3]),
+        # x off the apex; t = 0.3 and 0.5 are at or above the height, with no members
+        ("interval", 7, ((0,), 1), ((0, 0), 1), 0.3, [0.02, 0.1, 0.3, 0.5]),
+    ],
+)
+def test_shifted_kernel_constant_matches_brute(stacks, preset, m, x_word, apex_word, height, t_grid):
+    st = stacks(preset, m)
+    ev = st.evaluator("neumann")
+    x, apex = st.graph.vertex_id(*x_word), st.graph.vertex_id(*apex_word)
+    cone = Cone(apex, 1.0, height)
+    c = shifted_kernel_constant(ev, st.metric, x, cone, t_grid)
+    expect = brute_shifted_kernel_constant(
+        [ev.poisson_matrix(t) for t in t_grid], st.metric.matrix(), ev.d, x, apex, 1.0, height, t_grid
+    )
+    assert expect > 0.0
+    assert c == pytest.approx(expect, rel=1e-12)
+    assert shifted_kernel_constant(ev, st.metric, x, cone, [t for t in t_grid if t >= height]) == 0.0
 
 
 # -- ball-mass lower bounds --------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pcftube.kernels import (
 )
 
 from oracles import (
+    brute_bound_constant,
     interval_dirichlet_mass,
     interval_heat_neumann,
     interval_poisson_dirichlet,
@@ -71,10 +72,28 @@ def test_neumann_long_time_limit(stacks):
 
 
 def test_kernel_symmetry(stacks):
+    for preset, m in (("interval", 7), ("sierpinski", 4)):
+        st = stacks(preset, m)
+        for bc in ("dirichlet", "neumann"):
+            ev = st.evaluator(bc)
+            for t in (0.05, 0.3):
+                P, H = ev.poisson_matrix(t), ev.heat_matrix(t)
+                assert np.array_equal(P, P.T)
+                assert np.array_equal(H, H.T)
+
+
+def test_poisson_rows_match_matrix(stacks):
     st = stacks("sierpinski", 4)
-    ev = st.evaluator("dirichlet")
-    P = ev.poisson_matrix(0.2)
-    assert np.abs(P - P.T).max() < 1e-12
+    for bc in ("dirichlet", "neumann"):
+        ev = st.evaluator(bc)
+        P = ev.poisson_matrix(0.2)
+        ids = np.array([0, 5, 17, 5, st.graph.n_vertices - 1])
+        rows = ev.poisson_row(0.2, ids)
+        assert rows.shape == (ids.size, st.graph.n_vertices)
+        assert np.abs(rows - P[ids]).max() < 1e-13
+        row = ev.poisson_row(0.2, 17)
+        assert row.shape == (st.graph.n_vertices,)
+        assert np.abs(row - P[17]).max() < 1e-13
 
 
 def test_kernel_positivity(stacks):
@@ -291,6 +310,31 @@ def test_bound_constant_diagonal_branch(stacks):
     d = ev.d
     expect = ev.poisson(0.2, x, x) / 0.2 ** (-2.0 * d / (d + 1.0))
     assert rep.C == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "preset, m, bc, explicit",
+    [("vicsek", 3, "dirichlet", False), ("sierpinski", 4, "neumann", False), ("interval", 7, "dirichlet", True)],
+)
+def test_bound_constant_matches_brute(stacks, preset, m, bc, explicit):
+    st = stacks(preset, m)
+    ev = st.evaluator(bc)
+    n = st.graph.n_vertices
+    t_grid = list(np.geomspace(0.05, 1.0, 3))
+    if explicit:
+        b0 = int(st.graph.boundary_ids[0])
+        pairs = [(b0, 7), (3, 3), (40, 9), (9, 40), (b0, b0), (64, 100), (0, n - 1), (20, 21)]
+    else:
+        pairs = None
+    rep = bound_constant(ev, st.metric, t_grid, pairs)
+    brute_pairs = [(x, y) for x in range(n) for y in range(x, n)] if pairs is None else pairs
+    C, C_at, C_prime, C_prime_at = brute_bound_constant(
+        [ev.poisson_matrix(t) for t in t_grid], st.metric.matrix(), ev.d, t_grid, brute_pairs
+    )
+    assert rep.C == pytest.approx(C, rel=1e-12)
+    assert rep.C_prime == pytest.approx(C_prime, rel=1e-12)
+    assert rep.C_at == C_at
+    assert rep.C_prime_at == C_prime_at
 
 
 def test_approx_identity_single_mode_exact(stacks):

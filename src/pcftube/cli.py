@@ -105,6 +105,7 @@ def _cmd_spectrum(args) -> int:
                 "bc": basis.bc,
                 "n_modes": basis.n_modes,
                 "lambda_1": float(basis.eigenvalues[0]),
+                "max_residual": basis.max_residual,
                 "supnorm_constant": spec.supnorm_ratio(basis),
             }
             try:

@@ -10,13 +10,25 @@ eigenvectors are re-embedded with zeros on the boundary.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VertexGraph
+from .core import BudgetError, VertexGraph
 
 RESIDUAL_TOL = 1e-8
+# Peak number of live n x n float64 arrays while one level's energy form and
+# both eigenbases are built: E, the held Dirichlet basis, the working copy and
+# what eigh itself allocates (its input copy, syevd's 2 n^2 workspace and its
+# output).  Peak RSS over the pre-assembly RSS at sierpinski m = 7 (n = 3282)
+# is 7.1 such arrays.
+DENSE_ARRAYS = 7
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass
@@ -35,17 +47,30 @@ class EnergyForm:
 
 
 def energy_matrix(graph: VertexGraph) -> EnergyForm:
-    """Assemble E = sum_w (1/r_w) * (-D) lifted onto cell w's vertices."""
+    """Assemble E = sum_w (1/r_w) * (-D) lifted onto cell w's vertices.
+
+    Raises BudgetError, before allocating, when the dense spectral working
+    set of the level (``DENSE_ARRAYS`` n x n float64 arrays) exceeds physical
+    memory.
+    """
+    n = graph.n_vertices
+    need = DENSE_ARRAYS * 8 * n * n
+    have = _physical_memory_bytes()
+    if need > have:
+        raise BudgetError(
+            f"{n} vertices need about {need} bytes of dense spectral arrays "
+            f"({DENSE_ARRAYS} x {n} x {n} float64), over the {have} bytes of physical memory"
+        )
     S = graph.structure
-    nB = S.n_boundary
     block = -np.asarray(S.harmonic.D, dtype=float)
-    E = np.zeros((graph.n_vertices, graph.n_vertices))
-    r = S.harmonic.r
     inv_rw = 1.0 / np.array([S.word_resistance(w) for w in graph.words])
-    for c in range(graph.n_cells):
-        ids = graph.cells[c]
-        E[np.ix_(ids, ids)] += inv_rw[c] * block
-    E = 0.5 * (E + E.T)
+    cells = graph.cells
+    # bincount accumulates in cell order, so E is bit for bit the cell-by-cell sum
+    flat = (cells[:, :, None] * n + cells[:, None, :]).ravel()
+    weights = (inv_rw[:, None, None] * block).ravel()
+    E = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+    E += E.T
+    E *= 0.5
     return EnergyForm(graph=graph, matrix=E)
 
 
@@ -69,7 +94,8 @@ class EigenBasis:
 
     ``vectors`` has one column per mode on the full vertex set; Dirichlet
     columns vanish on the boundary ids.  Normalization is
-    sum_p M(p) phi_n(p) phi_k(p) = delta_nk.
+    sum_p M(p) phi_n(p) phi_k(p) = delta_nk.  ``max_residual`` is the largest
+    relative residual max_n resid_n / (1 + lambda_n), set by ``eigensystem``.
     """
 
     bc: str
@@ -77,6 +103,7 @@ class EigenBasis:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     mass: np.ndarray
+    max_residual: float = math.nan
 
     @property
     def n_modes(self) -> int:
@@ -98,11 +125,32 @@ class EigenBasis:
 
         Dirichlet pairs solve the pencil on interior rows only; boundary rows
         carry the (generally nonzero) normal derivative and are excluded.
+        E phi is summed over each row's nonzeros, for blocks of about 2**17
+        entries of the result, so no n x n product is formed.
         """
-        R = energy @ self.vectors - (self.mass[:, None] * self.vectors) * self.eigenvalues[None, :]
+        V = self.vectors
+        n, k = V.shape
         if self.bc == "dirichlet":
-            R = R[self.graph.interior_mask()]
-        return np.abs(R).max(axis=0)
+            rows = np.flatnonzero(self.graph.interior_mask())
+        else:
+            rows = np.arange(n)
+        # Padded neighbour table: row i's nonzero columns nbr[i] with weights
+        # w[i], padded by column 0 at weight 0.
+        i, j = np.nonzero(energy)
+        counts = np.bincount(i, minlength=n)
+        slot = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        nbr = np.zeros((n, counts.max()), dtype=np.intp)
+        w = np.zeros(nbr.shape)
+        nbr[i, slot] = j
+        w[i, slot] = energy[i, j]
+        out = np.zeros(k)
+        step = max(1, 2**17 // k)
+        for start in range(0, rows.size, step):
+            r = rows[start : start + step]
+            R = np.einsum("ik,ikj->ij", w[r], V[nbr[r]])
+            R -= (self.mass[r, None] * V[r]) * self.eigenvalues[None, :]
+            np.maximum(out, np.abs(R).max(axis=0), out=out)
+        return out
 
     def gram_deviation(self) -> float:
         G = self.vectors.T @ (self.mass[:, None] * self.vectors)
@@ -126,30 +174,35 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
         keep = np.flatnonzero(graph.interior_mask())
     else:
         keep = np.arange(graph.n_vertices)
-    E = form.matrix[np.ix_(keep, keep)]
+    # M^(-1/2) E M^(-1/2), symmetrized, in one working copy of E's block
     m_half = np.sqrt(mass[keep])
-    A = E / m_half[:, None] / m_half[None, :]
-    A = 0.5 * (A + A.T)
-    vals, vecs = np.linalg.eigh(A)
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
+    A = form.matrix[np.ix_(keep, keep)]
+    A /= m_half[:, None]
+    A /= m_half[None, :]
+    A += A.T
+    A *= 0.5
+    vals, phi = np.linalg.eigh(A)
+    del A
+    if np.any(vals[1:] < vals[:-1]):
+        raise RuntimeError("eigh returned eigenvalues out of ascending order")
     # Solver noise scales with the top of the spectrum; true kernel modes sit
     # many orders below any genuine eigenvalue.
     vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
     if vals[0] < 0.0:
         raise RuntimeError(f"negative eigenvalue {vals[0]!r} from a PSD pencil")
 
-    phi = vecs / m_half[:, None]
+    phi /= m_half[:, None]
     # sign convention: largest-magnitude component positive
     anchor = np.abs(phi).argmax(axis=0)
     signs = np.sign(phi[anchor, np.arange(phi.shape[1])])
     signs[signs == 0.0] = 1.0
-    phi = phi * signs[None, :]
+    phi *= signs[None, :]
 
-    full = np.zeros((graph.n_vertices, vals.size))
-    full[keep] = phi
-    basis = EigenBasis(bc=bc, graph=graph, eigenvalues=vals, vectors=full, mass=mass)
+    if bc == "dirichlet":
+        full = np.zeros((graph.n_vertices, vals.size))
+        full[keep] = phi
+        phi = full
+    basis = EigenBasis(bc=bc, graph=graph, eigenvalues=vals, vectors=phi, mass=mass)
 
     resid = basis.residuals(form.matrix)
     bound = RESIDUAL_TOL * (1.0 + vals)
@@ -158,6 +211,7 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
         raise RuntimeError(
             f"eigen residual {resid[worst]:.3e} at mode {worst} exceeds tolerance"
         )
+    basis.max_residual = float((resid / (1.0 + vals)).max())
     if bc == "dirichlet" and vals[0] <= 0.0:
         raise RuntimeError("Dirichlet spectrum must be strictly positive")
     return basis
@@ -232,7 +286,8 @@ def supnorm_ratio(
     if idx.size == 0:
         raise ValueError("no modes with positive eigenvalue")
     d = basis.dim
-    sup = np.abs(basis.vectors[:, idx]).max(axis=0)
+    V = basis.vectors
+    sup = np.maximum(V.max(axis=0), -V.min(axis=0))[idx]
     ratio = sup / basis.eigenvalues[idx] ** (d / (2.0 * (d + 1.0)))
     return float(ratio.max())
 

@@ -101,6 +101,34 @@ def gasket_brute_dirichlet_matrix(m: int) -> np.ndarray:
     return L[np.ix_(keep, keep)]
 
 
+# -- energy form and eigen residuals ----------------------------------------------------
+
+
+def loop_energy_matrix(graph) -> np.ndarray:
+    """E assembled one cell at a time: (1/r_w) * (-D) added onto its corner ids."""
+    S = graph.structure
+    block = -np.asarray(S.harmonic.D, dtype=float)
+    inv_rw = 1.0 / np.array([S.word_resistance(w) for w in graph.words])
+    E = np.zeros((graph.n_vertices, graph.n_vertices))
+    for c in range(graph.n_cells):
+        ids = graph.cells[c]
+        E[np.ix_(ids, ids)] += inv_rw[c] * block
+    return 0.5 * (E + E.T)
+
+
+def dense_residuals(basis, E: np.ndarray) -> np.ndarray:
+    """Per-mode max of |E phi - lambda M phi| from one dense product.
+
+    Rows are the interior vertices for a Dirichlet basis and all vertices
+    otherwise.
+    """
+    V = basis.vectors
+    R = E @ V - (basis.mass[:, None] * V) * basis.eigenvalues[None, :]
+    if basis.bc == "dirichlet":
+        R = R[basis.graph.interior_mask()]
+    return np.abs(R).max(axis=0)
+
+
 # -- resistance metric ----------------------------------------------------------------
 
 

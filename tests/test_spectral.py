@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pcftube.core import build_level, load_structure
+import pcftube.spectral as spectral
+from pcftube.core import BudgetError, build_level, load_structure
 from pcftube.spectral import (
     counting_function,
     eigen_growth_constants,
@@ -16,10 +18,14 @@ from pcftube.spectral import (
 
 from oracles import (
     decimation_branch,
+    dense_residuals,
     gasket_brute_dirichlet_matrix,
     gasket_lambda1,
     interval_dirichlet_lambda,
+    loop_energy_matrix,
 )
+
+SMALL_STACKS = (("interval", 8), ("sierpinski", 5), ("vicsek", 3))
 
 
 # -- energy assembly --------------------------------------------------------------
@@ -34,6 +40,21 @@ def test_interval_level1_energy_by_hand():
     f[i0], f[imid], f[i1] = 1.0, -0.5, 2.0
     expected = 2.0 * (f[i0] - f[imid]) ** 2 + 2.0 * (f[imid] - f[i1]) ** 2
     assert form.energy(f) == pytest.approx(expected, abs=1e-12)
+
+
+def test_energy_matrix_matches_cell_loop(stacks):
+    for preset, m in SMALL_STACKS:
+        st = stacks(preset, m)
+        assert np.array_equal(st.form.matrix, loop_energy_matrix(st.graph))
+
+
+def test_dense_budget_rejects_before_allocating(monkeypatch):
+    G = build_level(load_structure("sierpinski"), 5)
+    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1 << 20)
+    with pytest.raises(BudgetError) as exc:
+        energy_matrix(G)
+    need = spectral.DENSE_ARRAYS * 8 * G.n_vertices**2
+    assert str(need) in str(exc.value) and str(1 << 20) in str(exc.value)
 
 
 def test_energy_kills_constants(stacks):
@@ -96,13 +117,69 @@ def test_dirichlet_vectors_vanish_on_boundary(stacks):
 
 
 def test_orthonormality_and_residuals(stacks):
-    for preset, m in (("interval", 8), ("sierpinski", 5), ("vicsek", 3)):
+    for preset, m in SMALL_STACKS:
         st = stacks(preset, m)
         for bc in ("dirichlet", "neumann"):
             b = st.basis(bc)
             assert b.gram_deviation() <= 1e-8
             resid = b.residuals(st.form.matrix)
             assert np.all(resid <= 1e-8 * (1.0 + b.eigenvalues))
+            assert b.max_residual == float((resid / (1.0 + b.eigenvalues)).max())
+
+
+def test_sparse_residuals_match_dense(stacks):
+    for preset, m in SMALL_STACKS:
+        st = stacks(preset, m)
+        for bc in ("dirichlet", "neumann"):
+            b = st.basis(bc)
+            dense = dense_residuals(b, st.form.matrix)
+            assert np.abs(b.residuals(st.form.matrix) - dense).max() <= 1e-12
+
+
+def test_residuals_catch_perturbed_pair(stacks):
+    st = stacks("sierpinski", 5)
+    for bc in ("dirichlet", "neumann"):
+        b = st.basis(bc)
+        bad = dataclasses.replace(b, vectors=b.vectors.copy())
+        k, p = 5, int(np.flatnonzero(st.graph.interior_mask())[17])
+        bad.vectors[p, k] += 1e-6
+        resid = bad.residuals(st.form.matrix)
+        assert resid[k] > 1e-8 * (1.0 + b.eigenvalues[k])
+        others = np.delete(np.arange(b.n_modes), k)
+        assert np.all(resid[others] <= 1e-8 * (1.0 + b.eigenvalues[others]))
+
+
+def test_residuals_skip_dirichlet_boundary_rows(stacks):
+    st = stacks("sierpinski", 5)
+    b = st.basis("dirichlet")
+    E = st.form.matrix
+    bid = st.graph.boundary_ids
+    # boundary rows carry the normal derivative, far above the tolerance
+    boundary = np.abs(E[bid] @ b.vectors).max(axis=0)
+    assert boundary.max() > 1.0
+    assert np.all(b.residuals(E) <= 1e-8 * (1.0 + b.eigenvalues))
+
+
+def test_eigensystem_leaves_form_untouched():
+    form = energy_matrix(build_level(load_structure("sierpinski"), 3))
+    before = form.matrix.copy()
+    for bc in ("dirichlet", "neumann"):
+        b = eigensystem(form, bc)
+        assert np.array_equal(form.matrix, before)
+        assert not np.shares_memory(b.vectors, form.matrix)
+
+
+def test_eigensystem_rejects_unsorted_eigh(monkeypatch):
+    form = energy_matrix(build_level(load_structure("interval"), 4))
+    eigh = np.linalg.eigh
+
+    def reversed_eigh(A):
+        w, v = eigh(A)
+        return w[::-1].copy(), v[:, ::-1].copy()
+
+    monkeypatch.setattr(np.linalg, "eigh", reversed_eigh)
+    with pytest.raises(RuntimeError, match="ascending"):
+        eigensystem(form, "neumann")
 
 
 def test_interlacing(stacks):

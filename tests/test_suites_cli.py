@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import pcftube.spectral as spectral
 from pcftube.cli import main
 from pcftube.suites import verify_suite
 
@@ -100,6 +101,14 @@ def test_cli_budget_exit_4(tmp_path):
     assert main(["build", "--preset", "sierpinski", "--level", "12", "--out", str(tmp_path)]) == 4
 
 
+def test_cli_dense_budget_exit_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1 << 20)
+    code = main(["spectrum", "--preset", "sierpinski", "--level", "5", "--out", str(tmp_path)])
+    assert code == 4
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum_m5.csv").exists()
+
+
 def test_cli_bad_config_exit_3(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(
@@ -128,6 +137,8 @@ def test_cli_spectrum(tmp_path):
     assert header == "n,lambda,bc"
     report = json.loads((out / "spectrum_report.json").read_text())
     assert {row["bc"] for row in report["results"]} == {"dirichlet", "neumann"}
+    for row in report["results"]:
+        assert 0.0 <= row["max_residual"] <= 1e-8
 
 
 def test_cli_kernel_table(tmp_path):

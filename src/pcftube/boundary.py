@@ -306,7 +306,7 @@ def barrier(
 
     # P_t of the complement measure, as the Poisson integral of its density.
     density = E.complement_weights() / ev.mass
-    values = np.vstack([ev.poisson_integral(density, float(t)) + t for t in ts])
+    values = ev.poisson_integral(density, ts) + ts[:, None]
 
     if E.measure == 0.0:
         # Degenerate barrier: the smoothing of the full measure is the

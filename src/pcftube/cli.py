@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -34,22 +35,34 @@ def _nonneg_int(text: str) -> int:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 0:
-        raise argparse.ArgumentTypeError("level must be nonnegative")
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+def _positive_int(text: str) -> int:
+    value = _nonneg_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
 
 
-def _int_list(text: str) -> list[int]:
+def _positive_float(text: str) -> float:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number: {text!r}")
+    return value
+
+
+def _comma_list(parse):
+    """Argument type for a comma-separated list of values of type ``parse``."""
+
+    def parse_list(text: str) -> list:
+        return [parse(tok) for tok in text.split(",") if tok]
+
+    return parse_list
 
 
 def _structure(args):
@@ -92,12 +105,12 @@ def _bcs(bc: str) -> list[str]:
 def _cmd_spectrum(args) -> int:
     S = _structure(args)
     levels = args.levels if args.levels else [args.level if args.level is not None else DEFAULT_LEVELS.get(S.name, 4)]
-    os.makedirs(args.out, exist_ok=True)
     summary = []
     for lvl in levels:
         graph = build_level(S, lvl, args.budget)
         form = spec.energy_matrix(graph)
         bases = [spec.eigensystem(form, bc) for bc in _bcs(args.bc)]
+        os.makedirs(args.out, exist_ok=True)
         spec.export_spectrum_csv(os.path.join(args.out, f"spectrum_m{lvl}.csv"), bases)
         for basis in bases:
             entry = {
@@ -260,29 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="solve eigenproblems and export spectra")
     common(p)
-    p.add_argument("--levels", type=_int_list, default=None, help="comma-separated levels")
+    p.add_argument("--levels", type=_comma_list(_nonneg_int), default=None, help="comma-separated levels")
     p.add_argument("--bc", choices=["dirichlet", "neumann", "both"], default="both")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("kernel", help="evaluate kernels on a sample grid and export tables")
     common(p)
     p.add_argument("--bc", choices=["dirichlet", "neumann", "both"], default="both")
-    p.add_argument("--t-grid", dest="t_grid", type=_float_list, default=None)
-    p.add_argument("--tol", type=float, default=1e-8, help="tail tolerance tau")
+    p.add_argument("--t-grid", dest="t_grid", type=_comma_list(_positive_float), default=None)
+    p.add_argument("--tol", type=_positive_float, default=1e-8, help="tail tolerance tau")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("verify", help="run a verification suite and write its report")
     common(p)
     p.add_argument("--suite", choices=list(SUITE_NAMES) + ["all"], default="all")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fatou", help="run the Fatou reconstruction batch")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--batch", type=_positive_int, default=16)
     p.set_defaults(func=_cmd_fatou)
 
     p = sub.add_parser("report", help="summarize suite reports in an output directory")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import TIE_RTOL
 from .spectral import EigenBasis, eigen_growth_constants, supnorm_ratio
 
 
@@ -65,6 +66,10 @@ class KernelEvaluator:
         self.vectors = basis.vectors[:, :n]
         self.mass = basis.mass
         self.d = basis.dim
+        # Terms with rate * t above this are below 2^-1075 / e in magnitude
+        # (see _live); max and min avoid an n x n temporary of |V|.
+        s = max(float(self.vectors.max()), -float(self.vectors.min()))
+        self._cut = 1075.0 * math.log(2.0) + 2.0 * math.log(max(1.0, s)) + 1.0
         self.sup_constant = supnorm_ratio(basis)
         try:
             self.growth_lower = eigen_growth_constants(basis)[0]
@@ -130,18 +135,31 @@ class KernelEvaluator:
 
     # -- kernel values ---------------------------------------------------------
 
+    def _live(self, rate: np.ndarray, t: float) -> int:
+        """Number of leading modes whose terms e^(-rate_n t) phi_n(x) phi_n(y) can be nonzero.
+
+        A mode with rate_n t > cut has |phi_n(x) phi_n(y) e^(-rate_n t)| < 2^-1075 / e,
+        below half the smallest subnormal, so it rounds to zero in any product,
+        sum or FMA and dropping it leaves every result bit-identical.  Rates
+        ascend with the eigenvalues, so the live modes are a prefix.
+        """
+        return max(1, int(np.searchsorted(rate * t, self._cut, "right")))
+
     def _kernel(self, rate: np.ndarray, t: float, x=slice(None), y=None):
         """sum_n e^(-rate_n t) phi_n(x) phi_n(y) for vertices (or all vertices) x and y.
 
-        With y omitted (y = x) the kernel is A A^T with A = phi(x) e^(-rate t/2):
-        BLAS evaluates that product as a symmetric rank-k update, so the matrix
-        is exactly symmetric at half the cost of a general product.
+        Only the live modes (see _live) enter.  With y omitted (y = x) the
+        kernel is A A^T with A = phi(x) e^(-rate t/2): BLAS evaluates that
+        product as a symmetric rank-k update, so the matrix is exactly
+        symmetric at half the cost of a general product.
         """
         self._check(t)
+        k = self._live(rate, t)
+        rate, V = rate[:k], self.vectors[:, :k]
         if y is None:
-            A = self.vectors[x] * np.exp(-0.5 * t * rate)
+            A = V[x] * np.exp(-0.5 * t * rate)
             return A @ A.T
-        return (self.vectors[x] * np.exp(-rate * t)) @ self.vectors[y].T
+        return (V[x] * np.exp(-rate * t)) @ V[y].T
 
     def heat(self, t: float, x: int, y: int) -> float:
         return float(self._kernel(self.lam, t, x, y))
@@ -171,11 +189,20 @@ class KernelEvaluator:
             a += float(weight) * self.vectors[int(vertex)]
         return a
 
-    def poisson_integral(self, f, t: float) -> np.ndarray:
-        """u(t, .) = sum_n a_n e^{-sqrt(lambda_n) t} phi_n."""
-        self._check(t)
+    def poisson_integral(self, f, t) -> np.ndarray:
+        """u(t, .) = sum_n a_n e^{-sqrt(lambda_n) t} phi_n.
+
+        For an array of times (a time ladder) the result has one row per time,
+        all from one projection of f onto the modes; every t is checked first.
+        """
+        ts = np.asarray(t, dtype=float)
+        for s in ts.flat:
+            self._check(float(s))
         a = self.coefficients(f)
-        return self.vectors @ (np.exp(-self.sqrt_lam * t) * a)
+        out = np.empty((ts.size, self.vectors.shape[0]))
+        for row, s in zip(out, ts.flat):
+            row[:] = self.vectors @ (np.exp(-self.sqrt_lam * s) * a)
+        return out.reshape(ts.shape + out.shape[1:])
 
     def kernel_mass(self, t: float, x: int) -> float:
         """Lumped integral of P(t, x, .) against the measure."""
@@ -188,9 +215,10 @@ class KernelEvaluator:
     def heat_profile(self, s: float, x: int, y: int) -> float:
         if not np.isfinite(s):
             w = (self.lam == 0.0).astype(float)
-        else:
-            w = np.exp(-self.lam * s)
-        return float(np.dot(self.vectors[x] * w, self.vectors[y]))
+            return float(np.dot(self.vectors[x] * w, self.vectors[y]))
+        k = self._live(self.lam, s)
+        w = np.exp(-self.lam[:k] * s)
+        return float(np.dot(self.vectors[x, :k] * w, self.vectors[y, :k]))
 
     def poisson_via_subordination(self, t: float, x: int, y: int, quad_tol: float = 1e-7) -> float:
         self._check(t)
@@ -267,21 +295,29 @@ class BoundConstants:
     C_prime_at: tuple[float, int, int]
 
 
-def _first_max(ratio: np.ndarray, skip: np.ndarray) -> tuple[float, int]:
-    """Largest ratio outside ``skip`` and the first index holding it."""
+def _fold_max(best: float, at: tuple, ratio: np.ndarray, skip: np.ndarray, t: float, xs, ys):
+    """Fold one time's ratios outside ``skip`` into the running maximum ``best``.
+
+    The maximum stays exact, but its location ``at`` moves to this t only when
+    the new maximum beats ``best`` by more than TIE_RTOL (relative), and then
+    names the first pair within TIE_RTOL of it: ratios that differ by
+    roundoff are ties, so BLAS summation order cannot move the location.
+    """
     ratio[skip] = -math.inf
-    if ratio.size == 0:
-        return -math.inf, 0
-    k = int(np.argmax(ratio))
-    return float(ratio[k]), k
+    c = float(ratio.max(initial=-math.inf))
+    if c > best and (best == -math.inf or c - best > TIE_RTOL * best):
+        k = int(np.argmax(ratio >= c - TIE_RTOL * c))
+        at = (float(t), int(xs[k]), int(ys[k]))
+    return max(best, c), at
 
 
 def bound_constant(ev: KernelEvaluator, metric, t_grid, pairs=None) -> BoundConstants:
     """Sweep P(t,x,y) against min{t^(-2d/(d+1)), t / R^((3d+1)/2)}.
 
     ``pairs`` defaults to all vertex pairs x <= y; on the diagonal only the
-    first branch applies.  Pairs with P <= 0 are skipped, and each ``*_at``
-    names the first strict maximum in (t, pair) order.
+    first branch applies.  Pairs with P <= 0 are skipped.  Each constant is
+    the exact maximum; its ``*_at`` names the first (t, pair) in sweep order
+    within TIE_RTOL (relative) of it, under the rule of ``_fold_max``.
     """
     d = ev.d
     if pairs is None:
@@ -300,12 +336,8 @@ def bound_constant(ev: KernelEvaluator, metric, t_grid, pairs=None) -> BoundCons
         with np.errstate(divide="ignore"):
             bound = np.where(r > 0.0, np.minimum(branch1, t / decay), branch1)
         combined = t / (t * t + spread) ** ((3.0 * d + 1.0) / (2.0 * (d + 1.0)))
-        c, k = _first_max(val / bound, skip)
-        if c > best:
-            best, at = c, (float(t), int(xs[k]), int(ys[k]))
-        c, k = _first_max(val / combined, skip)
-        if c > best_p:
-            best_p, at_p = c, (float(t), int(xs[k]), int(ys[k]))
+        best, at = _fold_max(best, at, val / bound, skip, t, xs, ys)
+        best_p, at_p = _fold_max(best_p, at_p, val / combined, skip, t, xs, ys)
     return BoundConstants(C=best, C_at=at, C_prime=best_p, C_prime_at=at_p)
 
 
@@ -329,8 +361,7 @@ def approx_identity_error(ev: KernelEvaluator, f: np.ndarray, t_ladder) -> Appro
         raise ValueError("Dirichlet smoothing needs f = 0 on the boundary set")
     mass = ev.mass
     sup, l1, l2 = [], [], []
-    for t in t_ladder:
-        u = ev.poisson_integral(f, t)
+    for u in ev.poisson_integral(f, t_ladder):
         err = u - f
         sup.append(float(np.abs(err).max()))
         l1.append(float(np.sum(mass * np.abs(err))))

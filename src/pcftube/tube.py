@@ -52,8 +52,7 @@ class TubeField:
 def tube_sample(ev: KernelEvaluator, f, t_grid) -> TubeField:
     """Poisson integral of f sampled on a time ladder."""
     ts = np.asarray(list(t_grid), dtype=float)
-    rows = np.vstack([ev.poisson_integral(f, float(t)) for t in ts])
-    return TubeField(t_grid=ts, values=rows, provenance="poisson", bc=ev.bc, graph=ev.graph)
+    return TubeField(t_grid=ts, values=ev.poisson_integral(f, ts), provenance="poisson", bc=ev.bc, graph=ev.graph)
 
 
 def _second_divided_difference(t: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from pcftube.core import TIE_RTOL
+
 
 # -- unit interval classics ----------------------------------------------------
 
@@ -209,19 +211,43 @@ def brute_maximal_measure(R: np.ndarray, mass: np.ndarray, atom_vec: np.ndarray,
 # -- brute-force kernel bound sweeps --------------------------------------------------
 
 
+def full_mode_kernel(vectors: np.ndarray, rate: np.ndarray, t: float, x=slice(None), y=None):
+    """sum_n e^(-rate_n t) phi_n(x) phi_n(y) over every mode, with no underflow cut.
+
+    With y omitted the kernel is A A^T with A = phi(x) e^(-rate t/2), the same
+    product the evaluator forms for its matrices.
+    """
+    if y is None:
+        A = vectors[x] * np.exp(-0.5 * t * rate)
+        return A @ A.T
+    return (vectors[x] * np.exp(-rate * t)) @ vectors[y].T
+
+
 def brute_bound_constant(P_by_t, R: np.ndarray, d: float, t_grid, pairs):
     """Pair-by-pair sweep of P(t,x,y) against the two-branch bound and the
     combined bound t / (t^2 + R^(d+1))^((3d+1)/(2(d+1))).
 
     ``P_by_t[i]`` is the dense kernel matrix at ``t_grid[i]``.  Pairs with
-    P <= 0 are skipped; each maximum keeps the first (t, x, y) attaining it.
+    P <= 0 are skipped.  Each maximum is exact; its location moves to a later
+    t only when that t beats the running maximum by more than ``TIE_RTOL``
+    (relative), and then names that t's first pair within ``TIE_RTOL`` of it.
     Returns (C, C_at, C_prime, C_prime_at).
     """
+
+    def fold(best, at, rows):
+        if not rows:
+            return best, at
+        top = max(ratio for ratio, _ in rows)
+        if top > best and (best == -math.inf or top - best > TIE_RTOL * best):
+            at = next(where for ratio, where in rows if ratio >= top - TIE_RTOL * top)
+        return max(best, top), at
+
     best = best_p = -math.inf
     at = at_p = (0.0, 0, 0)
     for t, P in zip(t_grid, P_by_t):
         t = float(t)
         branch1 = t ** (-2.0 * d / (d + 1.0))
+        rows, rows_p = [], []
         for x, y in pairs:
             val = float(P[x, y])
             if val <= 0.0:
@@ -232,10 +258,10 @@ def brute_bound_constant(P_by_t, R: np.ndarray, d: float, t_grid, pairs):
             else:
                 bound = branch1
             combined = t / (t * t + r ** (d + 1.0)) ** ((3.0 * d + 1.0) / (2.0 * (d + 1.0)))
-            if val / bound > best:
-                best, at = val / bound, (t, int(x), int(y))
-            if val / combined > best_p:
-                best_p, at_p = val / combined, (t, int(x), int(y))
+            rows.append((val / bound, (t, int(x), int(y))))
+            rows_p.append((val / combined, (t, int(x), int(y))))
+        best, at = fold(best, at, rows)
+        best_p, at_p = fold(best_p, at_p, rows_p)
     return best, at, best_p, at_p
 
 

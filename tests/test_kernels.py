@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pcftube.kernels import (
 
 from oracles import (
     brute_bound_constant,
+    full_mode_kernel,
     interval_dirichlet_mass,
     interval_heat_neumann,
     interval_poisson_dirichlet,
@@ -94,6 +96,45 @@ def test_poisson_rows_match_matrix(stacks):
         row = ev.poisson_row(0.2, 17)
         assert row.shape == (st.graph.n_vertices,)
         assert np.abs(row - P[17]).max() < 1e-13
+
+
+CUT_STACKS = [("interval", 8), ("sierpinski", 5), ("vicsek", 3)]
+CUT_TIMES = (0.01, 0.05, 0.4, 5.0, 50.0)
+
+
+@pytest.mark.parametrize("preset, m", CUT_STACKS)
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_underflow_cut_is_exact(stacks, preset, m, bc):
+    st = stacks(preset, m)
+    ev = st.evaluator(bc)
+    V = ev.vectors
+    ids = np.array([0, 3, st.graph.n_vertices // 2, st.graph.n_vertices - 1])
+    for t in CUT_TIMES:
+        assert np.array_equal(ev.heat_matrix(t), full_mode_kernel(V, ev.lam, t))
+        assert np.array_equal(ev.poisson_matrix(t), full_mode_kernel(V, ev.sqrt_lam, t))
+        assert np.array_equal(ev.poisson_row(t, ids), full_mode_kernel(V, ev.sqrt_lam, t, ids, slice(None)))
+    # The comparison covers the cut: from t = 0.05 on the heat series keeps a
+    # fraction of the modes, at t = 50 no more than two.
+    assert ev._live(ev.lam, 0.05) < ev.n_used / 2
+    assert ev._live(ev.lam, 50.0) <= 2
+
+
+@pytest.mark.parametrize("preset, m", CUT_STACKS)
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_underflow_cut_scalars(stacks, preset, m, bc):
+    # A 1-D dot pairs its partial sums by vector length, so scalars agree to
+    # roundoff rather than bit for bit.
+    st = stacks(preset, m)
+    ev = st.evaluator(bc)
+    V = ev.vectors
+    pairs = [(1, 1), (0, st.graph.n_vertices - 1), (3, st.graph.n_vertices // 2)]
+    for t in CUT_TIMES:
+        for x, y in pairs:
+            ref = float(full_mode_kernel(V, ev.lam, t, x, y))
+            assert abs(ev.heat(t, x, y) - ref) <= 1e-15 * max(1.0, abs(ref))
+            assert abs(ev.heat_profile(t, x, y) - ref) <= 1e-15 * max(1.0, abs(ref))
+            ref = float(full_mode_kernel(V, ev.sqrt_lam, t, x, y))
+            assert abs(ev.poisson(t, x, y) - ref) <= 1e-15 * max(1.0, abs(ref))
 
 
 def test_kernel_positivity(stacks):
@@ -179,6 +220,36 @@ def test_poisson_integral_atoms_match_row(stacks):
     x = st.graph.vertex_id((0,), 1)
     u = ev.poisson_integral([(x, 1.0)], 0.25)
     assert np.abs(u - ev.poisson_row(0.25, x)).max() < 1e-12
+
+
+def test_poisson_integral_time_ladder(stacks, rng):
+    st = stacks("sierpinski", 4)
+    ts = np.array([0.05, 0.2, 0.2, 1.0, 7.5])
+    for bc in ("dirichlet", "neumann"):
+        ev = st.evaluator(bc)
+        f = rng.standard_normal(st.graph.n_vertices)
+        atoms = [(5, 0.5), (17, -2.0), (5, 1.25)]
+        for g in (f, atoms):
+            U = ev.poisson_integral(g, ts)
+            assert U.shape == (ts.size, st.graph.n_vertices)
+            for i, t in enumerate(ts):
+                assert np.array_equal(U[i], ev.poisson_integral(g, t))
+        assert ev.poisson_integral(f, ts[:0]).shape == (0, st.graph.n_vertices)
+
+
+def test_poisson_integral_ladder_enforces_every_time(stacks, monkeypatch):
+    st = stacks("interval", 8)
+    ev = st.evaluator("dirichlet", tail_tol=1e-8, enforce=True)
+    f = np.zeros(st.graph.n_vertices)
+    f[5] = 1.0
+    ev.poisson_integral(f, [0.3, 0.5])
+
+    def projected(_):
+        raise AssertionError("f was projected before every time was checked")
+
+    monkeypatch.setattr(ev, "coefficients", projected)
+    with pytest.raises(TruncationError):
+        ev.poisson_integral(f, [0.3, 1e-3, 0.5])
 
 
 # -- semigroup property ------------------------------------------------------------------
@@ -335,6 +406,46 @@ def test_bound_constant_matches_brute(stacks, preset, m, bc, explicit):
     assert rep.C_prime == pytest.approx(C_prime, rel=1e-12)
     assert rep.C_at == C_at
     assert rep.C_prime_at == C_prime_at
+
+
+class _StubEvaluator:
+    """Poisson matrices given per t on three vertices, with d = 1."""
+
+    d = 1.0
+    graph = SimpleNamespace(n_vertices=3)
+
+    def __init__(self, by_t):
+        self.by_t = by_t
+
+    def poisson_matrix(self, t):
+        return self.by_t[t]
+
+
+def test_bound_constant_location_ignores_roundoff_ties():
+    # With R = 1 off the diagonal and d = 1 both branches of the bound are
+    # 0.5 at t = 0.5 and t = 2, and 1 at t = 1, so each ratio is P / bound
+    # exactly.  At t = 0.5 the later pair is larger by one ulp; at t = 2 both
+    # beat it by one more.  Neither moves C_at; the genuine gain at t = 1 does.
+    ulp = float(np.spacing(0.5))
+
+    def matrix(p01, p12):
+        P = np.full((3, 3), 0.25)
+        P[0, 1] = P[1, 0] = p01
+        P[1, 2] = P[2, 1] = p12
+        return P
+
+    metric = SimpleNamespace(matrix=lambda: 1.0 - np.eye(3))
+    pairs = [(0, 1), (1, 2)]
+    ev = _StubEvaluator({0.5: matrix(0.5, 0.5 + ulp), 2.0: matrix(0.5 + 2 * ulp, 0.5 + 2 * ulp)})
+    rep = bound_constant(ev, metric, [0.5, 2.0], pairs)
+    assert rep.C == 2.0 * (0.5 + 2 * ulp)
+    assert rep.C_at == (0.5, 0, 1)
+    assert rep.C_prime_at[1:] == (0, 1)
+    ev.by_t[1.0] = matrix(0.5, 1.5)
+    rep = bound_constant(ev, metric, [0.5, 2.0, 1.0], pairs)
+    assert (rep.C, rep.C_at) == (1.5, (1.0, 1, 2))
+    expect = brute_bound_constant([ev.by_t[t] for t in (0.5, 2.0, 1.0)], metric.matrix(), 1.0, [0.5, 2.0, 1.0], pairs)
+    assert (rep.C, rep.C_at, rep.C_prime, rep.C_prime_at) == expect
 
 
 def test_approx_identity_single_mode_exact(stacks):

@@ -85,10 +85,26 @@ def test_cli_build_artifacts(tmp_path):
     assert meta["n_vertices"] == 9 and meta["n_cells"] == 8
 
 
-def test_cli_negative_level_exits_2(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--level", "-1"],
+        ["kernel", "--level", "3", "--t-grid=-0.1,0.3"],
+        ["kernel", "--level", "3", "--tol", "-1"],
+        ["fatou", "--level", "3", "--batch", "0"],
+        ["verify", "--level", "3", "--tol", "0"],
+        ["verify", "--level", "3", "--tol", "nan"],
+        ["spectrum", "--levels", "3,-1"],
+    ],
+    ids=["build-level", "kernel-t-grid", "kernel-tol", "fatou-batch", "verify-tol", "verify-tol-nan", "spectrum-levels"],
+)
+def test_cli_negative_level_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["build", "--preset", "interval", "--level", "-1", "--out", "x"])
+        main(argv + ["--preset", "interval", "--out", str(out)])
     assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_flag_exits_2():
@@ -103,10 +119,10 @@ def test_cli_budget_exit_4(tmp_path):
 
 def test_cli_dense_budget_exit_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1 << 20)
-    code = main(["spectrum", "--preset", "sierpinski", "--level", "5", "--out", str(tmp_path)])
+    code = main(["spectrum", "--preset", "sierpinski", "--level", "5", "--out", str(tmp_path / "out")])
     assert code == 4
     assert "physical memory" in capsys.readouterr().err
-    assert not (tmp_path / "spectrum_m5.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_config_exit_3(tmp_path):

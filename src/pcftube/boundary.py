@@ -191,8 +191,11 @@ def shifted_kernel_constant(
         branch1 = t ** (-2.0 * d / (d + 1.0))
         with np.errstate(divide="ignore"):
             bound = np.where(r > 0.0, np.minimum(branch1, t / decay), branch1)
+        # bound > 0 and best >= 0, so entries with P <= 0 never win: the ratio
+        # is formed in place, with no temporaries the size of P
         P = ev.poisson_row(t, members)
-        best = max(best, float(np.where(P > 0.0, P / bound, 0.0).max()))
+        P /= bound
+        best = max(best, float(P.max()))
     return best
 
 

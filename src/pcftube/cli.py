@@ -119,6 +119,7 @@ def _cmd_spectrum(args) -> int:
                 "n_modes": basis.n_modes,
                 "lambda_1": float(basis.eigenvalues[0]),
                 "max_residual": basis.max_residual,
+                "blocks": list(basis.blocks),
                 "supnorm_constant": spec.supnorm_ratio(basis),
             }
             try:

@@ -8,7 +8,9 @@ V_m = union of F_w(V_0) over words w of length m and the self-similar measure
 (lumped to vertex masses).  The effective resistance metric of the associated
 resistor network is read off the Neumann eigenbasis of the level-m energy
 form (see ``ResistanceMetric``), so each level is factorized once; resistance
-radii are compared under one tie rule, ``TIE_RTOL``.
+radii are compared under one tie rule, ``TIE_RTOL``.  A structure also
+carries its reflection symmetry, if it has one (``_find_involution``), which
+``VertexGraph.vertex_involution`` lifts to every level.
 
 Gluing is purely combinatorial: identification relations are propagated to
 every scale through a union-find, and embedding coordinates are used only to
@@ -18,7 +20,6 @@ cross-validate the result.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -154,6 +155,10 @@ class SelfSimilarStructure:
     with i != j.  ``self_symbols[p]`` is the symbol s with F_s(x_p) = x_p;
     every boundary point must be the fixed point of one of the maps, which is
     what lets identifications be pushed to arbitrary scale combinatorially.
+
+    ``involution`` is the structure's reflection symmetry (sigma, pi), derived
+    by ``load_structure``: sigma permutes the boundary indices and pi the map
+    indices (see ``_find_involution``), or None when there is none.
     """
 
     name: str
@@ -164,6 +169,7 @@ class SelfSimilarStructure:
     measure_weights: np.ndarray
     self_symbols: tuple[int, ...]
     dim: float
+    involution: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @property
     def n_symbols(self) -> int:
@@ -374,7 +380,58 @@ def load_structure(config: dict | str) -> SelfSimilarStructure:
         measure_weights=mu,
         self_symbols=tuple(self_symbols),
         dim=d,
+        involution=_find_involution(maps, boundary, idents, D, r, mu),
     )
+
+
+def _find_involution(maps, boundary, idents, D, r, mu):
+    """The first boundary involution sigma, in ``itertools.permutations``
+    order, under which the structure is symmetric, with its map permutation
+    pi; None when there is none.
+
+    sigma is a non-identity involution of the boundary indices that extends
+    to an isometry T (T x_p = x_sigma(p)) conjugating every map onto a map,
+    T F_i = F_pi(i) T on V_0.  D, r and mu must be invariant under sigma and
+    pi, and the identification relations must be carried onto identification
+    relations, so that the gluing at every level is symmetric too
+    (``VertexGraph.vertex_involution``).  A map between finite point sets
+    extends to an isometry exactly when it preserves every distance, so T is
+    tested on V_0 and the level-1 corners F_i(x_p) by distances alone.
+    """
+    nB, n = boundary.shape
+    N = len(maps)
+    ids = np.arange(nB)
+    corners = np.array([F(boundary) for F in maps])
+    relations = {frozenset([(i, p), (j, q)]) for i, p, j, q in idents}
+
+    def congruent(X: np.ndarray, Y: np.ndarray) -> bool:
+        dX = np.linalg.norm(X[:, None] - X[None], axis=2)
+        dY = np.linalg.norm(Y[:, None] - Y[None], axis=2)
+        return bool(np.abs(dX - dY).max() <= IDENT_TOL)
+
+    for sigma in itertools.permutations(range(nB)):
+        s = np.array(sigma)
+        if np.array_equal(s, ids) or not np.array_equal(s[s], ids):
+            continue
+        pi = [
+            j
+            for i in range(N)
+            for j in range(N)
+            if congruent(np.vstack([boundary, corners[i]]), np.vstack([boundary[s], corners[j, s]]))
+        ]
+        if sorted(pi) != list(range(N)) or not congruent(
+            np.vstack([boundary, *corners]), np.vstack([boundary[s], *corners[pi][:, s]])
+        ):
+            continue
+        if (
+            np.abs(D[np.ix_(s, s)] - D).max() > IDENT_TOL
+            or np.abs(r[pi] - r).max() > IDENT_TOL
+            or np.abs(mu[pi] - mu).max() > IDENT_TOL
+            or {frozenset([(pi[i], sigma[p]), (pi[j], sigma[q])]) for i, p, j, q in idents} != relations
+        ):
+            continue
+        return tuple(sigma), tuple(pi)
+    return None
 
 
 def enumerate_words(n_symbols: int, m: int) -> list[tuple[int, ...]]:
@@ -416,6 +473,31 @@ class VertexGraph:
         s = self.structure.self_symbols[p]
         full = word + (s,) * (self.level - len(word))
         return int(self.cells[self._word_index[full], p])
+
+    def vertex_involution(self) -> np.ndarray:
+        """The structure's involution on V_m as a vertex permutation ``perm``.
+
+        The involution carries cell w onto cell pi(w) (pi letter by letter,
+        base-N digit arithmetic on the cell index) and its corner p onto corner
+        sigma(p), so perm[cells[c]] = cells[pi(c)][sigma].  The identity when
+        the structure has no involution.
+        """
+        n = self.n_vertices
+        if self.structure.involution is None:
+            return np.arange(n)
+        sigma, pi = (np.array(v) for v in self.structure.involution)
+        N = self.structure.n_symbols
+        c = np.arange(self.n_cells)
+        image = np.zeros_like(c)
+        for k in range(self.level):
+            place = N ** (self.level - 1 - k)
+            image += pi[c // place % N] * place
+        target = self.cells[image][:, sigma]
+        perm = np.empty(n, dtype=np.intp)
+        perm[self.cells] = target
+        if not (np.array_equal(perm[self.cells], target) and np.array_equal(perm[perm], np.arange(n))):
+            raise StructureError(f"the involution does not lift to a vertex involution at level {self.level}")
+        return perm
 
     def interior_mask(self) -> np.ndarray:
         mask = np.ones(self.n_vertices, dtype=bool)
@@ -657,7 +739,3 @@ def scaling_constants(
                 best_hi, arg_hi = ratio, (int(x), float(eps))
     return ScalingReport(A1=best_lo, A2=best_hi, argmin=arg_lo, argmax=arg_hi, degenerate=all_cover)
 
-
-def load_structure_file(path: str) -> SelfSimilarStructure:
-    with open(path) as fh:
-        return load_structure(json.load(fh))

@@ -3,8 +3,9 @@
 The quadratic form is assembled cell by cell: each word w contributes the
 boundary form -D scaled by 1/r_w onto its corner vertex ids.  Eigenpairs of
 E phi = lambda M phi (M the diagonal lumped mass) are obtained by
-symmetrizing with M^(-1/2) and running a dense symmetric solver; for the
-Dirichlet condition the boundary rows and columns are removed first and the
+symmetrizing with M^(-1/2) and running a dense symmetric solver on the even
+and odd blocks of the structure's reflection symmetry; for the Dirichlet
+condition the boundary rows and columns are removed first and the
 eigenvectors are re-embedded with zeros on the boundary.
 """
 
@@ -19,11 +20,16 @@ import numpy as np
 from .core import BudgetError, VertexGraph
 
 RESIDUAL_TOL = 1e-8
+# Eigenvalues within EIG_RTOL (relative) of each other are one eigenvalue of a
+# degenerate cluster.  Roundoff splits clusters by <= 4e-12 and the smallest
+# genuine relative gap is 2.9e-5 on sierpinski m <= 7.
+EIG_RTOL = 1e-9
 # Peak number of live n x n float64 arrays while one level's energy form and
-# both eigenbases are built: E, the held Dirichlet basis, the working copy and
+# both eigenbases are built: E, the held Dirichlet basis, the working block and
 # what eigh itself allocates (its input copy, syevd's 2 n^2 workspace and its
 # output).  Peak RSS over the pre-assembly RSS at sierpinski m = 7 (n = 3282)
-# is 7.1 such arrays.
+# is 5.0 such arrays with the symmetry split (two blocks of about n/2) and 7.2
+# for a structure with no involution (one block of n).
 DENSE_ARRAYS = 7
 
 
@@ -95,7 +101,8 @@ class EigenBasis:
     ``vectors`` has one column per mode on the full vertex set; Dirichlet
     columns vanish on the boundary ids.  Normalization is
     sum_p M(p) phi_n(p) phi_k(p) = delta_nk.  ``max_residual`` is the largest
-    relative residual max_n resid_n / (1 + lambda_n), set by ``eigensystem``.
+    relative residual max_n resid_n / (1 + lambda_n) and ``blocks`` the sizes
+    (n_even, n_odd) of the two symmetry blocks, both set by ``eigensystem``.
     """
 
     bc: str
@@ -104,6 +111,7 @@ class EigenBasis:
     vectors: np.ndarray
     mass: np.ndarray
     max_residual: float = math.nan
+    blocks: tuple[int, int] = (0, 0)
 
     @property
     def n_modes(self) -> int:
@@ -157,12 +165,29 @@ class EigenBasis:
         return float(np.abs(G - np.eye(self.n_modes)).max())
 
 
+def _solve_block(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrize A in place and hand it to eigh; eigenvalues ascending."""
+    A += A.T
+    A *= 0.5
+    vals, vecs = np.linalg.eigh(A)
+    if np.any(vals[1:] < vals[:-1]):
+        raise RuntimeError("eigh returned eigenvalues out of ascending order")
+    return vals, vecs
+
+
 def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     """Solve E phi = lambda M phi for the requested boundary condition.
 
     Eigenvalues are ascending; each vector's sign is fixed so its largest
     magnitude component is positive; eigenvalues within roundoff of zero are
     clamped to exactly zero so downstream sqrt weights stay real.
+
+    The pencil is split by the structure's involution P (see
+    ``VertexGraph.vertex_involution``).  P commutes with
+    A = M^(-1/2) E M^(-1/2), so in the orthonormal basis of fixed vertices,
+    (e_a + e_b)/sqrt 2 and (e_a - e_b)/sqrt 2 over the swapped pairs (a, b)
+    A is an even block plus an odd block, each solved by its own eigh.  With
+    no involution the even block is all of A and the odd block is empty.
     """
     if bc not in ("dirichlet", "neumann"):
         raise ValueError("bc must be 'dirichlet' or 'neumann'")
@@ -174,23 +199,69 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
         keep = np.flatnonzero(graph.interior_mask())
     else:
         keep = np.arange(graph.n_vertices)
-    # M^(-1/2) E M^(-1/2), symmetrized, in one working copy of E's block
-    m_half = np.sqrt(mass[keep])
-    A = form.matrix[np.ix_(keep, keep)]
-    A /= m_half[:, None]
-    A /= m_half[None, :]
-    A += A.T
-    A *= 0.5
-    vals, phi = np.linalg.eigh(A)
-    del A
-    if np.any(vals[1:] < vals[:-1]):
-        raise RuntimeError("eigh returned eigenvalues out of ascending order")
+    perm = graph.vertex_involution()
+    image = perm[keep]
+    fixed, a = keep[image == keep], keep[keep < image]
+    b = perm[a]
+    nf = fixed.size
+    m_half = np.sqrt(mass)
+
+    def scaled(rows, cols):
+        B = form.matrix[np.ix_(rows, cols)]
+        B /= m_half[rows, None]
+        B /= m_half[None, cols]
+        return B
+
+    # Even block [[A_ff, (A_fa + A_fb)/sqrt 2], [., (X + Y)/2]] and odd block
+    # (X - Y)/2, with X = A_aa + A_bb and Y = A_ab + A_ba.
+    even = np.empty((nf + a.size, nf + a.size))
+    even[:nf, :nf] = scaled(fixed, fixed)
+    cross = scaled(a, fixed)
+    cross += scaled(b, fixed)
+    cross *= math.sqrt(0.5)
+    even[nf:, :nf] = cross
+    even[:nf, nf:] = cross.T
+    del cross
+    odd = scaled(a, a)
+    odd += scaled(b, b)
+    Y = scaled(a, b)
+    Y += Y.T
+    even[nf:, nf:] = odd
+    even[nf:, nf:] += Y
+    even[nf:, nf:] *= 0.5
+    odd -= Y
+    odd *= 0.5
+    del Y
+    vals_even, U = _solve_block(even)
+    del even
+    vals_odd, W = _solve_block(odd)
+    del odd
+
+    vals = np.concatenate([vals_even, vals_odd])
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    column = np.empty(vals.size, dtype=np.intp)
+    column[order] = np.arange(vals.size)
+    even_cols, odd_cols = column[: vals_even.size], column[vals_even.size :]
     # Solver noise scales with the top of the spectrum; true kernel modes sit
     # many orders below any genuine eigenvalue.
     vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
     if vals[0] < 0.0:
         raise RuntimeError(f"negative eigenvalue {vals[0]!r} from a PSD pencil")
 
+    # Back to vertex coordinates, with zero rows off the solved block.
+    phi = np.zeros((graph.n_vertices, vals.size))
+    phi[fixed[:, None], even_cols] = U[:nf]
+    U = U[nf:]
+    U *= math.sqrt(0.5)
+    phi[a[:, None], even_cols] = U
+    phi[b[:, None], even_cols] = U
+    del U
+    W *= math.sqrt(0.5)
+    phi[a[:, None], odd_cols] = W
+    np.negative(W, out=W)
+    phi[b[:, None], odd_cols] = W
+    del W
     phi /= m_half[:, None]
     # sign convention: largest-magnitude component positive
     anchor = np.abs(phi).argmax(axis=0)
@@ -198,11 +269,9 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     signs[signs == 0.0] = 1.0
     phi *= signs[None, :]
 
-    if bc == "dirichlet":
-        full = np.zeros((graph.n_vertices, vals.size))
-        full[keep] = phi
-        phi = full
-    basis = EigenBasis(bc=bc, graph=graph, eigenvalues=vals, vectors=phi, mass=mass)
+    basis = EigenBasis(
+        bc=bc, graph=graph, eigenvalues=vals, vectors=phi, mass=mass, blocks=(vals_even.size, vals_odd.size)
+    )
 
     resid = basis.residuals(form.matrix)
     bound = RESIDUAL_TOL * (1.0 + vals)
@@ -217,11 +286,17 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     return basis
 
 
+def _count(eigenvalues: np.ndarray, x):
+    """Number of eigenvalues <= x (1 + EIG_RTOL): a degenerate cluster counts
+    whole, whatever order roundoff put its members in."""
+    return np.searchsorted(eigenvalues, x * (1.0 + EIG_RTOL), side="right")
+
+
 def counting_function(basis: EigenBasis, x: float) -> int:
-    """Number of eigenvalues <= x, multiplicity counted."""
+    """Number of eigenvalues <= x, multiplicity counted (see ``_count``)."""
     if x < 0.0:
         raise ValueError("threshold must be nonnegative")
-    return int(np.searchsorted(basis.eigenvalues, x, side="right"))
+    return int(_count(basis.eigenvalues, x))
 
 
 @dataclass
@@ -234,7 +309,10 @@ class WeylFit:
 
 
 def weyl_exponent(basis: EigenBasis, window: tuple[float, float] = (0.05, 0.25)) -> WeylFit:
-    """Least-squares slope of log rho(lambda_n) against log lambda_n.
+    """Least-squares slope of log N(lambda_n) against log lambda_n.
+
+    N counts every eigenvalue of lambda_n's cluster (``counting_function``),
+    so the fit depends only on the eigenvalue multiset.
 
     Only the lower part of the discrete spectrum tracks the continuum, so the
     fit is restricted to the given index window.
@@ -243,9 +321,9 @@ def weyl_exponent(basis: EigenBasis, window: tuple[float, float] = (0.05, 0.25))
     if idx.size < 10:
         raise ValueError("window selects fewer than 10 eigenvalues")
     lam = basis.eigenvalues[idx]
-    rho = np.searchsorted(basis.eigenvalues, lam, side="right")
+    count = _count(basis.eigenvalues, lam)
     X = np.log(lam)
-    Y = np.log(rho.astype(float))
+    Y = np.log(count.astype(float))
     A = np.vstack([X, np.ones_like(X)]).T
     coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
     resid = np.abs(A @ coef - Y).max()

@@ -131,6 +131,26 @@ def dense_residuals(basis, E: np.ndarray) -> np.ndarray:
     return np.abs(R).max(axis=0)
 
 
+def full_eigh(form, bc: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and mass-orthonormal eigenvectors (n x k, zero Dirichlet rows)
+    from one eigh of the whole symmetrized block M^(-1/2) E M^(-1/2), with no
+    symmetry split; the same clamp and sign rule as ``eigensystem``."""
+    graph = form.graph
+    mass = graph.vertex_mass
+    keep = np.flatnonzero(graph.interior_mask()) if bc == "dirichlet" else np.arange(graph.n_vertices)
+    m_half = np.sqrt(mass[keep])
+    A = form.matrix[np.ix_(keep, keep)] / m_half[:, None] / m_half[None, :]
+    vals, phi = np.linalg.eigh(0.5 * (A + A.T))
+    vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
+    phi /= m_half[:, None]
+    anchor = np.abs(phi).argmax(axis=0)
+    signs = np.sign(phi[anchor, np.arange(phi.shape[1])])
+    signs[signs == 0.0] = 1.0
+    full = np.zeros((graph.n_vertices, vals.size))
+    full[keep] = phi * signs[None, :]
+    return vals, full
+
+
 # -- resistance metric ----------------------------------------------------------------
 
 

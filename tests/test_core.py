@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from pcftube.core import (
     scaling_constants,
     similarity_dimension,
 )
+from pcftube.spectral import energy_matrix
 
 from oracles import bisect_dimension, grounded_resistance
 
@@ -178,6 +180,66 @@ def test_vertex_id_addresses(stacks):
 
 
 # -- resistance metric ------------------------------------------------------------------
+
+
+# -- reflection symmetry -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "config, involution",
+    [
+        ("interval", ((1, 0), (1, 0))),
+        ("sierpinski", ((0, 2, 1), (0, 2, 1))),
+        ("vicsek", ((0, 3, 2, 1), (0, 3, 2, 1, 4))),
+        # r keeps only the reflection that swaps corners 0 and 2
+        ({"preset": "sierpinski", "r": [0.6, 0.5, 0.6]}, ((2, 1, 0), (2, 1, 0))),
+        # the listed gluing keeps only the same reflection
+        ({"preset": "sierpinski", "identifications": [[0, 1, 1, 0], [1, 2, 2, 1]]}, ((2, 1, 0), (2, 1, 0))),
+        ({"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}, None),
+        ({"preset": "sierpinski", "r": [0.6, 0.5, 0.4]}, None),
+    ],
+)
+def test_structure_involution(config, involution):
+    assert load_structure(config).involution == involution
+
+
+@pytest.mark.parametrize(
+    "config, m",
+    [
+        ("interval", 6),
+        ("sierpinski", 4),
+        ("vicsek", 3),
+        ({"preset": "sierpinski", "r": [0.6, 0.5, 0.6]}, 3),
+        ({"preset": "sierpinski", "identifications": [[0, 1, 1, 0], [1, 2, 2, 1]]}, 3),
+    ],
+)
+def test_vertex_involution_preserves_the_graph(config, m):
+    G = build_level(load_structure(config), m)
+    perm = G.vertex_involution()
+    n = G.n_vertices
+    assert np.array_equal(perm[perm], np.arange(n)) and not np.array_equal(perm, np.arange(n))
+    assert {frozenset(c) for c in perm[G.cells].tolist()} == {frozenset(c) for c in G.cells.tolist()}
+    assert sorted(perm[G.boundary_ids].tolist()) == sorted(G.boundary_ids.tolist())
+    assert np.abs(G.vertex_mass[perm] - G.vertex_mass).max() <= 1e-15 * G.vertex_mass.max()
+    E = energy_matrix(G).matrix
+    assert np.abs(E[np.ix_(perm, perm)] - E).max() <= 1e-12 * np.abs(E).max()
+    # the involution is an isometry of the embedding
+    d = lambda X: np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    assert np.abs(d(G.coords[perm]) - d(G.coords)).max() <= 1e-12
+
+
+def test_vertex_involution_identity_without_symmetry():
+    G = build_level(load_structure({"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}), 3)
+    assert np.array_equal(G.vertex_involution(), np.arange(G.n_vertices))
+
+
+def test_vertex_involution_rejects_a_reflection_the_gluing_breaks():
+    # (0, 2, 1) is a symmetry of the triangle but carries the listed relation
+    # F_0(x_1) = F_1(x_0) onto the unlisted F_0(x_2) = F_2(x_0).
+    S = load_structure({"preset": "sierpinski", "identifications": [[0, 1, 1, 0], [1, 2, 2, 1]]})
+    G = build_level(dataclasses.replace(S, involution=((0, 2, 1), (0, 2, 1))), 2)
+    with pytest.raises(StructureError, match="does not lift"):
+        G.vertex_involution()
 
 
 def test_interval_resistances(stacks):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pcftube.core import build_level, load_structure
 from pcftube.kernels import (
     KernelEvaluator,
     TruncationError,
@@ -13,6 +14,7 @@ from pcftube.kernels import (
     semigroup_defect,
     subordination_transform,
 )
+from pcftube.spectral import EigenBasis
 
 from oracles import (
     brute_bound_constant,
@@ -117,6 +119,23 @@ def test_underflow_cut_is_exact(stacks, preset, m, bc):
     # fraction of the modes, at t = 50 no more than two.
     assert ev._live(ev.lam, 0.05) < ev.n_used / 2
     assert ev._live(ev.lam, 50.0) <= 2
+
+
+def test_underflow_cut_keeps_every_term_of_a_subnormal_sum():
+    # Two synthetic modes with |phi| = 1, so cut = 1075 ln 2 + 1.  At t = 1
+    # mode 0 contributes e^-735 (subnormal) and mode 1 e^-(cut - 2), about
+    # 1.36 * 2^-1074: the exact cut keeps it and it moves the sum by at least
+    # one ulp, so a cut lowered by two e-folds or more drops a nonzero term.
+    G = build_level(load_structure("interval"), 1)
+    lam = np.array([735.0, 1075.0 * math.log(2.0) - 1.0])
+    V = np.ones((G.n_vertices, 2))
+    ev = KernelEvaluator(EigenBasis("neumann", G, lam, V, G.vertex_mass))
+    H = full_mode_kernel(V, lam, 1.0)
+    assert 0.0 < H.min() and H.max() < np.finfo(float).tiny
+    assert not np.array_equal(H, full_mode_kernel(V[:, :1], lam[:1], 1.0))
+    assert np.array_equal(ev.heat_matrix(1.0), H)
+    assert ev.heat(1.0, 0, 2) == float(full_mode_kernel(V, lam, 1.0, 0, 2))
+    assert ev.heat(1.0, 0, 2) != float(full_mode_kernel(V[:, :1], lam[:1], 1.0, 0, 2))
 
 
 @pytest.mark.parametrize("preset, m", CUT_STACKS)

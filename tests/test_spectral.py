@@ -7,6 +7,7 @@ import pytest
 import pcftube.spectral as spectral
 from pcftube.core import BudgetError, build_level, load_structure
 from pcftube.spectral import (
+    EIG_RTOL,
     counting_function,
     eigen_growth_constants,
     eigensystem,
@@ -19,6 +20,7 @@ from pcftube.spectral import (
 from oracles import (
     decimation_branch,
     dense_residuals,
+    full_eigh,
     gasket_brute_dirichlet_matrix,
     gasket_lambda1,
     interval_dirichlet_lambda,
@@ -182,6 +184,46 @@ def test_eigensystem_rejects_unsorted_eigh(monkeypatch):
         eigensystem(form, "neumann")
 
 
+def _clusters(vals: np.ndarray) -> list[np.ndarray]:
+    """Index runs of eigenvalues within EIG_RTOL (relative) of their neighbour."""
+    split = np.flatnonzero(np.diff(vals) > EIG_RTOL * np.abs(vals[1:])) + 1
+    return np.split(np.arange(vals.size), split)
+
+
+ASYMMETRIC = {"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}
+
+
+@pytest.mark.parametrize("config, m", list(SMALL_STACKS) + [(ASYMMETRIC, 4)])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_split_eigensystem_matches_full_eigh(config, m, bc):
+    G = build_level(load_structure(config), m)
+    form = energy_matrix(G)
+    b = eigensystem(form, bc)
+    vals, V = full_eigh(form, bc)
+    assert np.abs(b.eigenvalues - vals).max() <= 1e-13 * vals[-1]
+    # spectral projectors V_c V_c^T M do not depend on the basis of a cluster
+    for c in _clusters(vals):
+        mine = b.vectors[:, c] @ (b.vectors[:, c].T * G.vertex_mass)
+        ref = V[:, c] @ (V[:, c].T * G.vertex_mass)
+        assert np.abs(mine - ref).max() <= 1e-10
+    n_even, n_odd = b.blocks
+    assert n_even + n_odd == b.n_modes
+    keep = np.flatnonzero(G.interior_mask()) if bc == "dirichlet" else np.arange(G.n_vertices)
+    perm = G.vertex_involution()
+    assert n_even - n_odd == np.count_nonzero(perm[keep] == keep)
+
+
+def test_split_modes_have_a_parity(stacks):
+    st = stacks("sierpinski", 5)
+    perm = st.graph.vertex_involution()
+    for bc in ("dirichlet", "neumann"):
+        V = st.basis(bc).vectors
+        even = np.abs(V[perm] - V).max(axis=0) == 0.0
+        odd = np.abs(V[perm] + V).max(axis=0) == 0.0
+        assert np.all(even ^ odd)
+        assert np.count_nonzero(odd) == st.basis(bc).blocks[1]
+
+
 def test_interlacing(stacks):
     for preset, m in (("interval", 7), ("sierpinski", 4), ("vicsek", 3)):
         st = stacks(preset, m)
@@ -242,6 +284,25 @@ def test_weyl_sierpinski(stacks):
     target = math.log(3.0) / math.log(5.0)
     assert abs(target - 0.6826) < 1e-4
     assert abs(fit.slope - target) <= 0.05
+
+
+def test_weyl_fit_depends_only_on_eigenvalue_multiset(stacks):
+    b = stacks("sierpinski", 5).basis("dirichlet")
+    lam = b.eigenvalues
+    runs = _clusters(lam)
+    assert max(len(c) for c in runs) > 1  # the spectrum has degenerate clusters
+    # every cluster snapped to one value, then split again by a few ulps
+    snapped = np.concatenate([np.full(len(c), lam[c[0]]) for c in runs])
+    rng = np.random.default_rng(11)
+    noisy = np.sort(snapped * (1.0 + rng.integers(-8, 9, lam.size) * np.finfo(float).eps))
+    # a bare count of the eigenvalues <= lambda_n would tell these apart
+    assert not np.array_equal(np.searchsorted(snapped, snapped, "right"), np.searchsorted(noisy, noisy, "right"))
+    ref = weyl_exponent(b)
+    for vals in (snapped, noisy):
+        other = dataclasses.replace(b, eigenvalues=vals)
+        fit = weyl_exponent(other)
+        assert abs(fit.slope - ref.slope) <= 1e-12 and abs(fit.intercept - ref.intercept) <= 1e-12
+        assert [counting_function(other, x) for x in vals] == [counting_function(b, x) for x in lam]
 
 
 def test_weyl_deterministic(stacks):

@@ -155,6 +155,9 @@ def test_cli_spectrum(tmp_path):
     assert {row["bc"] for row in report["results"]} == {"dirichlet", "neumann"}
     for row in report["results"]:
         assert 0.0 <= row["max_residual"] <= 1e-8
+        # the interval's reflection fixes only the midpoint
+        n_even, n_odd = row["blocks"]
+        assert n_even + n_odd == row["n_modes"] and n_even - n_odd == 1
 
 
 def test_cli_kernel_table(tmp_path):

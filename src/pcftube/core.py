@@ -9,8 +9,9 @@ V_m = union of F_w(V_0) over words w of length m and the self-similar measure
 resistor network is read off the Neumann eigenbasis of the level-m energy
 form (see ``ResistanceMetric``), so each level is factorized once; resistance
 radii are compared under one tie rule, ``TIE_RTOL``.  A structure also
-carries its reflection symmetry, if it has one (``_find_involution``), which
-``VertexGraph.vertex_involution`` lifts to every level.
+carries its dihedral symmetry group, generated by a reflection and a rotation
+when it has them (``_find_symmetries``), which ``VertexGraph.symmetry_group``
+lifts to every level.
 
 Gluing is purely combinatorial: identification relations are propagated to
 every scale through a union-find, and embedding coordinates are used only to
@@ -156,9 +157,10 @@ class SelfSimilarStructure:
     every boundary point must be the fixed point of one of the maps, which is
     what lets identifications be pushed to arbitrary scale combinatorially.
 
-    ``involution`` is the structure's reflection symmetry (sigma, pi), derived
-    by ``load_structure``: sigma permutes the boundary indices and pi the map
-    indices (see ``_find_involution``), or None when there is none.
+    ``involution`` (s) and ``rotation`` (r) generate the structure's dihedral
+    symmetry group, both derived by ``load_structure`` as pairs (sigma, pi):
+    sigma permutes the boundary indices and pi the map indices (see
+    ``_find_symmetries``).  Either is None when there is none.
     """
 
     name: str
@@ -170,6 +172,7 @@ class SelfSimilarStructure:
     self_symbols: tuple[int, ...]
     dim: float
     involution: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    rotation: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @property
     def n_symbols(self) -> int:
@@ -371,6 +374,7 @@ def load_structure(config: dict | str) -> SelfSimilarStructure:
         mu = r**d
         mu = mu / mu.sum()  # exact normalization against roundoff
 
+    involution, rotation = _find_symmetries(maps, boundary, idents, D, r, mu)
     return SelfSimilarStructure(
         name=str(config.get("name", "custom")),
         maps=tuple(maps),
@@ -380,58 +384,88 @@ def load_structure(config: dict | str) -> SelfSimilarStructure:
         measure_weights=mu,
         self_symbols=tuple(self_symbols),
         dim=d,
-        involution=_find_involution(maps, boundary, idents, D, r, mu),
+        involution=involution,
+        rotation=rotation,
     )
 
 
-def _find_involution(maps, boundary, idents, D, r, mu):
-    """The first boundary involution sigma, in ``itertools.permutations``
-    order, under which the structure is symmetric, with its map permutation
-    pi; None when there is none.
+def _find_symmetries(maps, boundary, idents, D, r, mu):
+    """The structure's reflection s and rotation r, each a pair (sigma, pi) or
+    None.
 
-    sigma is a non-identity involution of the boundary indices that extends
-    to an isometry T (T x_p = x_sigma(p)) conjugating every map onto a map,
+    A symmetry is a permutation sigma of the boundary indices that extends to
+    an isometry T (T x_p = x_sigma(p)) conjugating every map onto a map,
     T F_i = F_pi(i) T on V_0.  D, r and mu must be invariant under sigma and
     pi, and the identification relations must be carried onto identification
     relations, so that the gluing at every level is symmetric too
-    (``VertexGraph.vertex_involution``).  A map between finite point sets
-    extends to an isometry exactly when it preserves every distance, so T is
-    tested on V_0 and the level-1 corners F_i(x_p) by distances alone.
+    (``VertexGraph.symmetry_group``).  A map between finite point sets extends
+    to an isometry exactly when it preserves every distance, so T is tested on
+    V_0 and the level-1 corners F_i(x_p) by distances alone.
+
+    s is the first symmetry of order 2 in ``itertools.permutations`` order.
+    r is the first of highest order k >= 2 with s r s = r^-1 and s not a power
+    of r, so that s and r generate the dihedral group of order 2k.
     """
-    nB, n = boundary.shape
+    nB = boundary.shape[0]
     N = len(maps)
-    ids = np.arange(nB)
-    corners = np.array([F(boundary) for F in maps])
+    pts = np.vstack([boundary, *(F(boundary) for F in maps)])
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    # dist4[a, p, b, q]: distance from point p of block a to point q of block b,
+    # block 0 being V_0 and block i + 1 the corners F_i(V_0)
+    dist4 = dist.reshape(N + 1, nB, N + 1, nB)
+    cross = dist4[0, :, 1:].transpose(1, 0, 2)
+    inner = dist4[np.arange(1, N + 1), :, np.arange(1, N + 1)]
     relations = {frozenset([(i, p), (j, q)]) for i, p, j, q in idents}
 
-    def congruent(X: np.ndarray, Y: np.ndarray) -> bool:
-        dX = np.linalg.norm(X[:, None] - X[None], axis=2)
-        dY = np.linalg.norm(Y[:, None] - Y[None], axis=2)
-        return bool(np.abs(dX - dY).max() <= IDENT_TOL)
-
+    found = []
     for sigma in itertools.permutations(range(nB)):
         s = np.array(sigma)
-        if np.array_equal(s, ids) or not np.array_equal(s[s], ids):
-            continue
-        pi = [
-            j
-            for i in range(N)
-            for j in range(N)
-            if congruent(np.vstack([boundary, corners[i]]), np.vstack([boundary[s], corners[j, s]]))
-        ]
-        if sorted(pi) != list(range(N)) or not congruent(
-            np.vstack([boundary, *corners]), np.vstack([boundary[s], *corners[pi][:, s]])
-        ):
-            continue
         if (
             np.abs(D[np.ix_(s, s)] - D).max() > IDENT_TOL
+            or np.abs(dist[np.ix_(s, s)] - dist[:nB, :nB]).max() > IDENT_TOL
+        ):
+            continue
+        # match[i, j]: corners F_j(V_0), relabelled by sigma, sit like F_i(V_0)
+        match = (np.abs(cross[None, :, s][..., s] - cross[:, None]).max(axis=(2, 3)) <= IDENT_TOL) & (
+            np.abs(inner[None, :, s][..., s] - inner[:, None]).max(axis=(2, 3)) <= IDENT_TOL
+        )
+        if not np.array_equal(match.sum(axis=1), np.ones(N)):
+            continue
+        pi = match.argmax(axis=1)
+        image = np.concatenate([s, *(nB * (1 + pi[i]) + s for i in range(N))])
+        if (
+            sorted(pi) != list(range(N))
+            or np.abs(dist[np.ix_(image, image)] - dist).max() > IDENT_TOL
             or np.abs(r[pi] - r).max() > IDENT_TOL
             or np.abs(mu[pi] - mu).max() > IDENT_TOL
             or {frozenset([(pi[i], sigma[p]), (pi[j], sigma[q])]) for i, p, j, q in idents} != relations
         ):
             continue
-        return tuple(sigma), tuple(pi)
-    return None
+        found.append(np.concatenate([s, nB + pi]))
+
+    # A symmetry as one permutation of the nB boundary and N map labels.
+    def cycle(g) -> list[np.ndarray]:
+        """g, g^2, ..., up to the identity."""
+        out = [g]
+        while not np.array_equal(out[-1], np.arange(nB + N)):
+            out.append(g[out[-1]])
+        return out
+
+    def pair(g):
+        return tuple(int(v) for v in g[:nB]), tuple(int(v) - nB for v in g[nB:])
+
+    refl = next((g for g in found if len(cycle(g)) == 2), None)
+    if refl is None:
+        return None, None
+    rotations = [
+        g
+        for g in found
+        if len(cycle(g)) > 1
+        and np.array_equal(refl[g[refl]], np.argsort(g))
+        and not any(np.array_equal(h, refl) for h in cycle(g))
+    ]
+    rot = max(rotations, key=lambda g: len(cycle(g)), default=None)
+    return pair(refl), None if rot is None else pair(rot)
 
 
 def enumerate_words(n_symbols: int, m: int) -> list[tuple[int, ...]]:
@@ -474,18 +508,19 @@ class VertexGraph:
         full = word + (s,) * (self.level - len(word))
         return int(self.cells[self._word_index[full], p])
 
-    def vertex_involution(self) -> np.ndarray:
-        """The structure's involution on V_m as a vertex permutation ``perm``.
+    def _lift(self, symmetry, name: str) -> np.ndarray:
+        """A structure symmetry (sigma, pi) on V_m as a vertex permutation
+        ``perm``; the identity for None.
 
-        The involution carries cell w onto cell pi(w) (pi letter by letter,
+        The symmetry carries cell w onto cell pi(w) (pi letter by letter,
         base-N digit arithmetic on the cell index) and its corner p onto corner
-        sigma(p), so perm[cells[c]] = cells[pi(c)][sigma].  The identity when
-        the structure has no involution.
+        sigma(p), so perm[cells[c]] = cells[pi(c)][sigma].  Every vertex is a
+        corner, so a consistent perm is onto, hence a permutation.
         """
         n = self.n_vertices
-        if self.structure.involution is None:
+        if symmetry is None:
             return np.arange(n)
-        sigma, pi = (np.array(v) for v in self.structure.involution)
+        sigma, pi = (np.array(v) for v in symmetry)
         N = self.structure.n_symbols
         c = np.arange(self.n_cells)
         image = np.zeros_like(c)
@@ -495,9 +530,30 @@ class VertexGraph:
         target = self.cells[image][:, sigma]
         perm = np.empty(n, dtype=np.intp)
         perm[self.cells] = target
-        if not (np.array_equal(perm[self.cells], target) and np.array_equal(perm[perm], np.arange(n))):
-            raise StructureError(f"the involution does not lift to a vertex involution at level {self.level}")
+        if not np.array_equal(perm[self.cells], target):
+            raise StructureError(f"the {name} does not lift to a vertex permutation at level {self.level}")
         return perm
+
+    def vertex_involution(self) -> np.ndarray:
+        """The structure's involution s on V_m (``_lift``)."""
+        return self._lift(self.structure.involution, "involution")
+
+    def vertex_rotation(self) -> np.ndarray:
+        """The structure's rotation r on V_m (``_lift``)."""
+        return self._lift(self.structure.rotation, "rotation")
+
+    def symmetry_group(self) -> np.ndarray:
+        """The dihedral group D_k = <r, s> on V_m, one vertex permutation per row:
+        row a + k b is p -> r^a(s^b(p)), for a < k and b < 2 (b = 0 only when
+        the structure has no involution, k = 1 when it has no rotation)."""
+        rot = self.vertex_rotation()
+        rows = [np.arange(self.n_vertices)]
+        while not np.array_equal(nxt := rot[rows[-1]], rows[0]):
+            rows.append(nxt)
+        if self.structure.involution is not None:
+            s = self.vertex_involution()
+            rows += [row[s] for row in rows]
+        return np.array(rows)
 
     def interior_mask(self) -> np.ndarray:
         mask = np.ones(self.n_vertices, dtype=bool)

@@ -3,10 +3,10 @@
 The quadratic form is assembled cell by cell: each word w contributes the
 boundary form -D scaled by 1/r_w onto its corner vertex ids.  Eigenpairs of
 E phi = lambda M phi (M the diagonal lumped mass) are obtained by
-symmetrizing with M^(-1/2) and running a dense symmetric solver on the even
-and odd blocks of the structure's reflection symmetry; for the Dirichlet
-condition the boundary rows and columns are removed first and the
-eigenvectors are re-embedded with zeros on the boundary.
+symmetrizing with M^(-1/2) and running a dense symmetric solver on one block
+per irreducible representation of the structure's dihedral symmetry group;
+for the Dirichlet condition the boundary rows and columns are removed first
+and the eigenvectors are re-embedded with zeros on the boundary.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ EIG_RTOL = 1e-9
 # both eigenbases are built: E, the held Dirichlet basis, the working block and
 # what eigh itself allocates (its input copy, syevd's 2 n^2 workspace and its
 # output).  Peak RSS over the pre-assembly RSS at sierpinski m = 7 (n = 3282)
-# is 5.0 such arrays with the symmetry split (two blocks of about n/2) and 7.2
-# for a structure with no involution (one block of n).
+# is 3.5 such arrays with the D_3 split (blocks of at most about n/3; the peak
+# is then E, both bases and the partner gathers) and 7.2 for a structure with
+# no symmetry (one block of n), which sets the constant.
 DENSE_ARRAYS = 7
 
 
@@ -52,6 +53,12 @@ class EnergyForm:
         return float(f @ self.matrix @ f)
 
 
+def _conductances(graph: VertexGraph) -> np.ndarray:
+    """1 / r_w for every cell w."""
+    S = graph.structure
+    return 1.0 / np.array([S.word_resistance(w) for w in graph.words])
+
+
 def energy_matrix(graph: VertexGraph) -> EnergyForm:
     """Assemble E = sum_w (1/r_w) * (-D) lifted onto cell w's vertices.
 
@@ -67,9 +74,8 @@ def energy_matrix(graph: VertexGraph) -> EnergyForm:
             f"{n} vertices need about {need} bytes of dense spectral arrays "
             f"({DENSE_ARRAYS} x {n} x {n} float64), over the {have} bytes of physical memory"
         )
-    S = graph.structure
-    block = -np.asarray(S.harmonic.D, dtype=float)
-    inv_rw = 1.0 / np.array([S.word_resistance(w) for w in graph.words])
+    block = -np.asarray(graph.structure.harmonic.D, dtype=float)
+    inv_rw = _conductances(graph)
     cells = graph.cells
     # bincount accumulates in cell order, so E is bit for bit the cell-by-cell sum
     flat = (cells[:, :, None] * n + cells[:, None, :]).ravel()
@@ -78,6 +84,17 @@ def energy_matrix(graph: VertexGraph) -> EnergyForm:
     E += E.T
     E *= 0.5
     return EnergyForm(graph=graph, matrix=E)
+
+
+def _stencil(graph: VertexGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column ids (i, j) of the entries of E that cells can make
+    nonzero, in row-major order: the corner pairs (p, q) of every cell with
+    D[p, q] != 0."""
+    p, q = np.nonzero(graph.structure.harmonic.D)
+    n = graph.n_vertices
+    key = np.sort((graph.cells[:, p] * n + graph.cells[:, q]).ravel())
+    key = key[np.diff(key, prepend=-1) != 0]
+    return key // n, key % n
 
 
 def harmonic_extension(form: EnergyForm, boundary_values: np.ndarray) -> np.ndarray:
@@ -101,8 +118,11 @@ class EigenBasis:
     ``vectors`` has one column per mode on the full vertex set; Dirichlet
     columns vanish on the boundary ids.  Normalization is
     sum_p M(p) phi_n(p) phi_k(p) = delta_nk.  ``max_residual`` is the largest
-    relative residual max_n resid_n / (1 + lambda_n) and ``blocks`` the sizes
-    (n_even, n_odd) of the two symmetry blocks, both set by ``eigensystem``.
+    relative residual max_n resid_n / (1 + lambda_n), ``blocks`` the numbers
+    (n_even, n_odd) of modes even and odd under the involution s, and
+    ``irreps`` the size of the eigh block of each irreducible representation
+    of the symmetry group (see ``_irreps``; a 2-dim one carries twice that
+    many modes), all set by ``eigensystem``.
     """
 
     bc: str
@@ -112,6 +132,7 @@ class EigenBasis:
     mass: np.ndarray
     max_residual: float = math.nan
     blocks: tuple[int, int] = (0, 0)
+    irreps: tuple[int, ...] = ()
 
     @property
     def n_modes(self) -> int:
@@ -144,7 +165,7 @@ class EigenBasis:
             rows = np.arange(n)
         # Padded neighbour table: row i's nonzero columns nbr[i] with weights
         # w[i], padded by column 0 at weight 0.
-        i, j = np.nonzero(energy)
+        i, j = _stencil(self.graph)
         counts = np.bincount(i, minlength=n)
         slot = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
         nbr = np.zeros((n, counts.max()), dtype=np.intp)
@@ -165,6 +186,30 @@ class EigenBasis:
         return float(np.abs(G - np.eye(self.n_modes)).max())
 
 
+def _irreps(k: int, reflect: bool) -> list[np.ndarray]:
+    """Real irreducible representations of D_k = <r, s>, or of the trivial
+    group without s: rho[a + k b] = rho(r^a s^b), a d x d matrix.
+
+    The 1-dim ones come first, (chi(r), chi(s)) = (1, 1), (1, -1), then
+    (-1, 1), (-1, -1) for even k; then the 2-dim rho_j, 1 <= j < k/2, with
+    rho_j(r) the rotation by 2 pi j / k and rho_j(s) = diag(1, -1), so that
+    the modes solved for rho are s-even or s-odd as rho(s)[0, 0] says.
+    """
+    if not reflect:
+        return [np.ones((1, 1, 1))]
+    a = np.arange(k)
+    out = []
+    for cr in (1.0, -1.0)[: 2 - k % 2]:
+        for cs in (1.0, -1.0):
+            chi = cr**a
+            out.append(np.concatenate([chi, cs * chi])[:, None, None])
+    for j in range(1, (k + 1) // 2):
+        c, s = np.cos(2 * np.pi * j * a / k), np.sin(2 * np.pi * j * a / k)
+        rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+        out.append(np.concatenate([rot, rot * [1.0, -1.0]]))
+    return out
+
+
 def _solve_block(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrize A in place and hand it to eigh; eigenvalues ascending."""
     A += A.T
@@ -175,6 +220,93 @@ def _solve_block(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _anchor_signs(phi: np.ndarray) -> np.ndarray:
+    """Sign of each column's first entry of largest magnitude (+1 for a zero
+    column), swept over blocks of about 2**17 entries, so no n x n temporary
+    of |phi| is formed."""
+    n, k = phi.shape
+    best = np.full(k, -1.0)
+    anchor = np.zeros(k, dtype=np.intp)
+    step = max(1, 2**17 // max(k, 1))
+    for start in range(0, n, step):
+        block = np.abs(phi[start : start + step])
+        top = block.max(axis=0)
+        new = np.flatnonzero(top > best)
+        anchor[new] = start + block[:, new].argmax(axis=0)
+        best[new] = top[new]
+    signs = np.sign(phi[anchor, np.arange(k)])
+    signs[signs == 0.0] = 1.0
+    return signs
+
+
+def _orbit_types(group: np.ndarray, keep: np.ndarray, k: int):
+    """Orbit representatives of the group on ``keep`` and their orbit types.
+
+    reps holds the smallest vertex id of each orbit, grouped by stabilizer H,
+    larger stabilizers first (with k = 1: the vertices s fixes, then the
+    swapped pairs).  Each type is (sl, fixed, slots, mirror): its reps are
+    reps[sl] and H = fixed (row indices of ``group``); slot c is the point
+    g_c x, g_c = slots[c] the first element of its coset of H, and mirror[c]
+    is the slot of its image under s (group row k).
+    """
+    reps = keep[group[:, keep].min(axis=0) == keep]
+    fixed = group[:, reps] == reps
+    # each stabilizer as a bit mask over the group rows
+    mask = (fixed.T << np.arange(group.shape[0])).sum(axis=1)
+    order = np.lexsort((mask, -fixed.sum(axis=0)))
+    reps, mask = reps[order], mask[order]
+    starts = np.flatnonzero(np.diff(mask, prepend=-1))
+    types = []
+    for lo, hi in zip(starts, np.append(starts[1:], reps.size)):
+        points = group[:, reps[lo]]
+        slots = np.sort(np.unique(points, return_index=True)[1])
+        where = {int(p): c for c, p in enumerate(points[slots])}
+        mirror = np.array([where[int(q)] for q in group[k % group.shape[0], points[slots]]])
+        types.append((slice(lo, hi), np.flatnonzero(points == reps[lo]), slots, mirror))
+    return reps, types
+
+
+def _scaled(E: np.ndarray, m_half: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A[rows, cols] = E[rows, cols] / (m_half[rows] m_half[cols])."""
+    B = E[np.ix_(rows, cols)]
+    B /= m_half[rows, None]
+    B /= m_half[None, cols]
+    return B
+
+
+def _irrep_block(rho: np.ndarray, parity: float, types, hat: list[np.ndarray]):
+    """The block of A on the first-row component of rho, and its layout.
+
+    For each orbit type with H-fixed vectors in rho, b is an orthonormal basis
+    of them and values[c] = (rho(g_c) b)_1 sqrt(d / |orbit|) the entries of the
+    basis vectors on slot c; the layout lists (sl, slots, values, offset), the
+    rows of local basis vector i being offset + i * len(reps[sl]) onward.
+    """
+    d = rho.shape[1]
+    rows, size = [], 0
+    for sl, fixed, slots, mirror in types:
+        U, sv, _ = np.linalg.svd(rho[fixed].mean(axis=0))
+        b = U[:, sv > 0.5]
+        if b.shape[1] == 0:
+            continue
+        values = (rho[slots] @ b)[:, 0] * math.sqrt(d / slots.size)
+        # averaged with the s-image: every mode is bitwise s-even or s-odd
+        values = (values + parity * values[mirror]) * 0.5
+        rows.append((sl, fixed, b, slots, values, size))
+        size += b.shape[1] * (sl.stop - sl.start)
+    block = np.zeros((size, size))
+    for sl, fixed, b, _, _, o in rows:
+        R = sl.stop - sl.start
+        for sl2, fixed2, b2, _, _, o2 in rows:
+            R2 = sl2.stop - sl2.start
+            coef = b.T @ rho @ b2 * math.sqrt(1.0 / (fixed.size * fixed2.size))
+            for i, i2 in np.ndindex(coef.shape[1:]):
+                sub = block[o + i * R : o + (i + 1) * R, o2 + i2 * R2 : o2 + (i2 + 1) * R2]
+                for f in np.flatnonzero(coef[:, i, i2]):
+                    sub += coef[f, i, i2] * hat[f][sl, sl2]
+    return block, [(sl, slots, values, o) for sl, _, _, slots, values, o in rows]
+
+
 def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     """Solve E phi = lambda M phi for the requested boundary condition.
 
@@ -182,12 +314,24 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     magnitude component is positive; eigenvalues within roundoff of zero are
     clamped to exactly zero so downstream sqrt weights stay real.
 
-    The pencil is split by the structure's involution P (see
-    ``VertexGraph.vertex_involution``).  P commutes with
-    A = M^(-1/2) E M^(-1/2), so in the orthonormal basis of fixed vertices,
-    (e_a + e_b)/sqrt 2 and (e_a - e_b)/sqrt 2 over the swapped pairs (a, b)
-    A is an even block plus an odd block, each solved by its own eigh.  With
-    no involution the even block is all of A and the odd block is empty.
+    The pencil is split by the structure's dihedral group G = D_k = <r, s>
+    (``VertexGraph.symmetry_group``), whose vertex permutations P_g commute
+    with A = M^(-1/2) E M^(-1/2).  For every irreducible representation rho
+    (``_irreps``) and every orbit x of G on the solved vertices, with
+    stabilizer H, the vectors
+
+        u_(x,b) = sqrt(d / |orbit|) sum over points g x of (rho(g) b)_1 e_(g x),
+
+    b running over an orthonormal basis of the H-fixed vectors of rho, are an
+    orthonormal basis of the first-row component of rho, and by
+    A[g x, h y] = A[x, g^-1 h y]
+
+        u_(x,b)^T A u_(y,b') = sum over f in G of
+            b^T rho(f) b' / sqrt(|H_x| |H_y|) * A[x, f y],
+
+    so every block is assembled from the |G| gathers A[reps, f reps] and
+    solved by its own eigh.  The s-odd partner of a 2-dim mode v is
+    (P_r - P_r^-1) v / (2 sin theta_j), with the same eigenvalue.
     """
     if bc not in ("dirichlet", "neumann"):
         raise ValueError("bc must be 'dirichlet' or 'neumann'")
@@ -199,78 +343,80 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
         keep = np.flatnonzero(graph.interior_mask())
     else:
         keep = np.arange(graph.n_vertices)
-    perm = graph.vertex_involution()
-    image = perm[keep]
-    fixed, a = keep[image == keep], keep[keep < image]
-    b = perm[a]
-    nf = fixed.size
+    group = graph.symmetry_group()
+    reflect = graph.structure.involution is not None
+    k = group.shape[0] // (1 + reflect)
+    irreps = _irreps(k, reflect)
+    # the sign of s on each irrep's modes (+1 without s: group row k % |G| = 0)
+    parities = [rho[k % group.shape[0], 0, 0] for rho in irreps]
     m_half = np.sqrt(mass)
+    reps, types = _orbit_types(group, keep, k)
 
-    def scaled(rows, cols):
-        B = form.matrix[np.ix_(rows, cols)]
-        B /= m_half[rows, None]
-        B /= m_half[None, cols]
-        return B
+    # The gathers A[reps, f reps], shared by every block: about n^2 / |G| entries.
+    hat = [_scaled(form.matrix, m_half, reps, row[reps]) for row in group]
+    blocks, layouts = [], []
+    for rho, parity in zip(irreps, parities):
+        block, layout = _irrep_block(rho, parity, types, hat)
+        blocks.append(block)
+        layouts.append(layout)
+    del hat, block
+    # popped, so each block is freed once solved
+    solved = [_solve_block(blocks.pop(0)) for _ in irreps]
 
-    # Even block [[A_ff, (A_fa + A_fb)/sqrt 2], [., (X + Y)/2]] and odd block
-    # (X - Y)/2, with X = A_aa + A_bb and Y = A_ab + A_ba.
-    even = np.empty((nf + a.size, nf + a.size))
-    even[:nf, :nf] = scaled(fixed, fixed)
-    cross = scaled(a, fixed)
-    cross += scaled(b, fixed)
-    cross *= math.sqrt(0.5)
-    even[nf:, :nf] = cross
-    even[:nf, nf:] = cross.T
-    del cross
-    odd = scaled(a, a)
-    odd += scaled(b, b)
-    Y = scaled(a, b)
-    Y += Y.T
-    even[nf:, nf:] = odd
-    even[nf:, nf:] += Y
-    even[nf:, nf:] *= 0.5
-    odd -= Y
-    odd *= 0.5
-    del Y
-    vals_even, U = _solve_block(even)
-    del even
-    vals_odd, W = _solve_block(odd)
-    del odd
-
-    vals = np.concatenate([vals_even, vals_odd])
+    # Mode sets: one per irrep, then the s-odd partner set of each 2-dim irrep.
+    partners = [i for i, rho in enumerate(irreps) if rho.shape[1] == 2]
+    sets = [vals for vals, _ in solved] + [solved[i][0] for i in partners]
+    set_parity = np.array(parities + [-1.0] * len(partners))
+    vals = np.concatenate(sets)
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     column = np.empty(vals.size, dtype=np.intp)
     column[order] = np.arange(vals.size)
-    even_cols, odd_cols = column[: vals_even.size], column[vals_even.size :]
+    bounds = np.cumsum([0] + [v.size for v in sets])
+    columns = [column[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     # Solver noise scales with the top of the spectrum; true kernel modes sit
     # many orders below any genuine eigenvalue.
     vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
     if vals[0] < 0.0:
         raise RuntimeError(f"negative eigenvalue {vals[0]!r} from a PSD pencil")
 
-    # Back to vertex coordinates, with zero rows off the solved block.
+    # Back to vertex coordinates, with zero rows off the solved vertices.  Every
+    # slot applies the same operations to its values, so mirror slots agree
+    # bit for bit up to the sign.
     phi = np.zeros((graph.n_vertices, vals.size))
-    phi[fixed[:, None], even_cols] = U[:nf]
-    U = U[nf:]
-    U *= math.sqrt(0.5)
-    phi[a[:, None], even_cols] = U
-    phi[b[:, None], even_cols] = U
-    del U
-    W *= math.sqrt(0.5)
-    phi[a[:, None], odd_cols] = W
-    np.negative(W, out=W)
-    phi[b[:, None], odd_cols] = W
-    del W
+    for cols, (_, Y), layout in zip(columns, solved, layouts):
+        for sl, slots, values, o in layout:
+            R = sl.stop - sl.start
+            for g, v in zip(slots, values):
+                X = v[0] * Y[o : o + R]
+                for i in range(1, v.size):
+                    X += v[i] * Y[o + i * R : o + (i + 1) * R]
+                phi[group[g, reps[sl]][:, None], cols] = X
+    del solved
+    # (P_r v)(p) = v(r^-1 p), in row blocks of about 2**17 entries
+    rot, rot_inv = group[1 % k], group[k - 1]
+    step = max(1, 2**17 // vals.size)
+    for i, j in enumerate(partners):
+        even, odd = columns[j], columns[len(irreps) + i]
+        scale = 0.5 / irreps[j][1, 1, 0]  # 1 / (2 sin theta_j)
+        for start in range(0, graph.n_vertices, step):
+            q = slice(start, start + step)
+            X = phi[rot_inv[q][:, None], even]
+            X -= phi[rot[q][:, None], even]
+            X *= scale
+            phi[q, odd] = X
     phi /= m_half[:, None]
-    # sign convention: largest-magnitude component positive
-    anchor = np.abs(phi).argmax(axis=0)
-    signs = np.sign(phi[anchor, np.arange(phi.shape[1])])
-    signs[signs == 0.0] = 1.0
-    phi *= signs[None, :]
+    phi *= _anchor_signs(phi)[None, :]
 
+    sizes = np.array([v.size for v in sets])
     basis = EigenBasis(
-        bc=bc, graph=graph, eigenvalues=vals, vectors=phi, mass=mass, blocks=(vals_even.size, vals_odd.size)
+        bc=bc,
+        graph=graph,
+        eigenvalues=vals,
+        vectors=phi,
+        mass=mass,
+        blocks=(int(sizes[set_parity > 0].sum()), int(sizes[set_parity < 0].sum())),
+        irreps=tuple(int(v) for v in sizes[: len(irreps)]),
     )
 
     resid = basis.residuals(form.matrix)
@@ -284,6 +430,26 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     if bc == "dirichlet" and vals[0] <= 0.0:
         raise RuntimeError("Dirichlet spectrum must be strictly positive")
     return basis
+
+
+def rayleigh_quotient(basis: EigenBasis, mode: int = 0) -> float:
+    """lambda of one mode as the Rayleigh quotient of its eigenvector,
+
+        sum_w (1 / r_w) sum_(p < q) D[p, q] (phi(w_p) - phi(w_q))^2 / sum M phi^2,
+
+    over cells w with corners w_p.  The energy is a sum of nonnegative edge
+    terms, so it has no cancellation, and the quotient is stationary at the
+    eigenvector: a low eigenvalue keeps its relative accuracy, where eigh
+    gives it only to about eps * lambda_max.
+    """
+    graph = basis.graph
+    phi = basis.vectors[:, mode]
+    p, q = np.triu_indices(graph.structure.n_boundary, 1)
+    D = np.asarray(graph.structure.harmonic.D, dtype=float)
+    phi = phi.astype(np.longdouble)
+    diff = phi[graph.cells[:, p]] - phi[graph.cells[:, q]]
+    energy = np.sum(_conductances(graph)[:, None] * D[p, q] * diff * diff)
+    return float(energy / np.sum(basis.mass * phi * phi))
 
 
 def _count(eigenvalues: np.ndarray, x):

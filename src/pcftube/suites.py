@@ -367,7 +367,7 @@ def _spectral_suite(ctx: SuiteContext, r: _Runner) -> None:
         levels = [max(1, lvl - 2), max(1, lvl - 1), lvl]
         if len(set(levels)) < 3:
             return 0.0, True
-        l1 = [float(ctx.basis("dirichlet", m).eigenvalues[0]) for m in levels]
+        l1 = [spec.rayleigh_quotient(ctx.basis("dirichlet", m)) for m in levels]
         d1, d2 = abs(l1[1] - l1[0]), abs(l1[2] - l1[1])
         return d2, d2 < d1
 

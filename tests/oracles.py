@@ -62,7 +62,10 @@ def bisect_dimension(r, tol: float = 1e-13) -> float:
 
 
 def decimation_branch(z: float) -> float:
-    return (5.0 - math.sqrt(25.0 - 4.0 * z)) / 2.0
+    """The lower root w of w (5 - w) = z, written 2z / (5 + sqrt(25 - 4z))
+    rather than (5 - sqrt(25 - 4z)) / 2, which cancels about log10(25 / z)
+    digits at small z (1e-12 relative at m = 7)."""
+    return 2.0 * z / (5.0 + math.sqrt(25.0 - 4.0 * z))
 
 
 def gasket_lambda1(m: int) -> float:
@@ -143,12 +146,18 @@ def full_eigh(form, bc: str) -> tuple[np.ndarray, np.ndarray]:
     vals, phi = np.linalg.eigh(0.5 * (A + A.T))
     vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
     phi /= m_half[:, None]
+    full = np.zeros((graph.n_vertices, vals.size))
+    full[keep] = phi * argmax_signs(phi)[None, :]
+    return vals, full
+
+
+def argmax_signs(phi: np.ndarray) -> np.ndarray:
+    """Sign of each column's first entry of largest magnitude, +1 for a zero
+    column, from one whole-array argmax."""
     anchor = np.abs(phi).argmax(axis=0)
     signs = np.sign(phi[anchor, np.arange(phi.shape[1])])
     signs[signs == 0.0] = 1.0
-    full = np.zeros((graph.n_vertices, vals.size))
-    full[keep] = phi * signs[None, :]
-    return vals, full
+    return signs
 
 
 # -- resistance metric ----------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_vertex_id_addresses(stacks):
 # -- resistance metric ------------------------------------------------------------------
 
 
-# -- reflection symmetry -----------------------------------------------------------
+# -- dihedral symmetry -------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -240,6 +240,56 @@ def test_vertex_involution_rejects_a_reflection_the_gluing_breaks():
     G = build_level(dataclasses.replace(S, involution=((0, 2, 1), (0, 2, 1))), 2)
     with pytest.raises(StructureError, match="does not lift"):
         G.vertex_involution()
+
+
+@pytest.mark.parametrize(
+    "config, rotation",
+    [
+        ("interval", None),
+        ("sierpinski", ((1, 2, 0), (1, 2, 0))),
+        ("vicsek", ((1, 2, 3, 0), (1, 2, 3, 0, 4))),
+        ({"preset": "sierpinski", "r": [0.6, 0.5, 0.6]}, None),
+        ({"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}, None),
+    ],
+)
+def test_structure_rotation(config, rotation):
+    assert load_structure(config).rotation == rotation
+
+
+@pytest.mark.parametrize("preset, m, k", [("sierpinski", 4, 3), ("vicsek", 3, 4)])
+def test_vertex_rotation_generates_a_dihedral_group(preset, m, k):
+    G = build_level(load_structure(preset), m)
+    rot, s = G.vertex_rotation(), G.vertex_involution()
+    n = G.n_vertices
+    ident = np.arange(n)
+    # r is a graph automorphism of order k
+    assert {frozenset(c) for c in rot[G.cells].tolist()} == {frozenset(c) for c in G.cells.tolist()}
+    assert sorted(rot[G.boundary_ids].tolist()) == sorted(G.boundary_ids.tolist())
+    assert np.abs(G.vertex_mass[rot] - G.vertex_mass).max() <= 1e-15 * G.vertex_mass.max()
+    E = energy_matrix(G).matrix
+    assert np.abs(E[np.ix_(rot, rot)] - E).max() <= 1e-12 * np.abs(E).max()
+    powers = [ident]
+    for _ in range(k):
+        powers.append(rot[powers[-1]])
+    assert all(not np.array_equal(P, ident) for P in powers[1:k]) and np.array_equal(powers[k], ident)
+    # s r s = r^-1
+    assert np.array_equal(s[rot[s]], np.argsort(rot))
+    group = G.symmetry_group()
+    assert group.shape == (2 * k, n)
+    assert len({row.tobytes() for row in group}) == 2 * k
+
+
+@pytest.mark.parametrize(
+    "config, order",
+    [("interval", 2), ("sierpinski", 6), ("vicsek", 8), ({"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}, 1)],
+)
+def test_symmetry_group_order(config, order):
+    G = build_level(load_structure(config), 2)
+    group = G.symmetry_group()
+    assert group.shape == (order, G.n_vertices)
+    # closed under composition: every product of two rows is a row
+    rows = {row.tobytes() for row in group}
+    assert all(a[b].tobytes() in rows for a in group for b in group)
 
 
 def test_interval_resistances(stacks):

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,11 +16,13 @@ from pcftube.spectral import (
     eigensystem,
     energy_matrix,
     harmonic_extension,
+    rayleigh_quotient,
     supnorm_ratio,
     weyl_exponent,
 )
 
 from oracles import (
+    argmax_signs,
     decimation_branch,
     dense_residuals,
     full_eigh,
@@ -193,7 +198,24 @@ def _clusters(vals: np.ndarray) -> list[np.ndarray]:
 ASYMMETRIC = {"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}
 
 
-@pytest.mark.parametrize("config, m", list(SMALL_STACKS) + [(ASYMMETRIC, 4)])
+def _pentagasket() -> dict:
+    """Five maps of ratio (3 - sqrt 5) / 2 toward the corners of a regular
+    pentagon, neighbours touching at one point: symmetry group D_5, with the
+    two 2-dim irreps no preset has.  D is the complete graph; the split needs
+    the symmetry only."""
+    c = (3.0 - math.sqrt(5.0)) / 2.0
+    corners = [[math.cos(2.0 * math.pi * i / 5 + math.pi / 2), math.sin(2.0 * math.pi * i / 5 + math.pi / 2)] for i in range(5)]
+    return {
+        "name": "pentagasket",
+        "maps": [{"scale": c, "translation": [(1.0 - c) * x, (1.0 - c) * y]} for x, y in corners],
+        "boundary": corners,
+        "identifications": [[i, (i + 2) % 5, (i + 1) % 5, (i + 4) % 5] for i in range(5)],
+        "D": (np.ones((5, 5)) - 5.0 * np.eye(5)).tolist(),
+        "r": [0.5] * 5,
+    }
+
+
+@pytest.mark.parametrize("config, m", list(SMALL_STACKS) + [(ASYMMETRIC, 4), (_pentagasket(), 2)])
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 def test_split_eigensystem_matches_full_eigh(config, m, bc):
     G = build_level(load_structure(config), m)
@@ -211,6 +233,13 @@ def test_split_eigensystem_matches_full_eigh(config, m, bc):
     keep = np.flatnonzero(G.interior_mask()) if bc == "dirichlet" else np.arange(G.n_vertices)
     perm = G.vertex_involution()
     assert n_even - n_odd == np.count_nonzero(perm[keep] == keep)
+    # one eigh per irrep; a 2-dim irrep's block carries half of its modes
+    group = G.symmetry_group()
+    k = group.shape[0] // (1 + (G.structure.involution is not None))
+    n_one_dim = 1 if G.structure.involution is None else 2 + (k % 2 == 0) * 2
+    dims = [1] * n_one_dim + [2] * (len(b.irreps) - n_one_dim)
+    assert len(dims) == n_one_dim + (k - 1) // 2
+    assert sum(d * size for d, size in zip(dims, b.irreps)) == b.n_modes
 
 
 def test_split_modes_have_a_parity(stacks):
@@ -222,6 +251,64 @@ def test_split_modes_have_a_parity(stacks):
         odd = np.abs(V[perm] + V).max(axis=0) == 0.0
         assert np.all(even ^ odd)
         assert np.count_nonzero(odd) == st.basis(bc).blocks[1]
+
+
+@pytest.mark.parametrize("preset, m, k", [("sierpinski", 5, 3), ("vicsek", 3, 4)])
+def test_two_dim_pairs_share_their_eigenvalue_bitwise(stacks, preset, m, k):
+    st = stacks(preset, m)
+    rot, s = st.graph.vertex_rotation(), st.graph.vertex_involution()
+    rot_inv = np.argsort(rot)
+    for bc in ("dirichlet", "neumann"):
+        b = st.basis(bc)
+        V, vals = b.vectors, b.eigenvalues
+        even = np.abs(V[s] - V).max(axis=0) == 0.0
+        # P_r phi = +-phi on a 1-dim irrep; on the 2-dim one P_r turns phi by 2 pi / k
+        turned = np.minimum(np.abs(V[rot] - V).max(axis=0), np.abs(V[rot] + V).max(axis=0)) > 1e-6 * np.abs(V).max(axis=0)
+        pairs = np.flatnonzero(even & turned)
+        assert pairs.size == b.irreps[-1]
+        partner = (V[rot_inv][:, pairs] - V[rot][:, pairs]) / (2.0 * math.sin(2.0 * math.pi / k))
+        overlap = V.T @ (st.graph.vertex_mass[:, None] * partner)
+        mate = np.abs(overlap).argmax(axis=0)
+        assert np.abs(np.abs(overlap[mate, np.arange(pairs.size)]) - 1.0).max() <= 1e-10
+        assert not np.any(even[mate])
+        assert np.array_equal(vals[mate], vals[pairs])
+
+
+def test_no_eigh_block_exceeds_a_third_of_the_vertices(monkeypatch):
+    # the one-reflection split would hand eigh blocks of about n / 2
+    G = build_level(load_structure("sierpinski"), 5)
+    form = energy_matrix(G)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(A):
+        sizes.append(A.shape[0])
+        return eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for bc in ("dirichlet", "neumann"):
+        eigensystem(form, bc)
+    assert len(sizes) == 6
+    assert max(sizes) <= math.ceil(G.n_vertices / 3) + 3
+
+
+@pytest.mark.parametrize("preset, m", SMALL_STACKS)
+def test_anchor_signs_match_whole_array_argmax(stacks, preset, m):
+    rng = np.random.default_rng(5)
+    for bc in ("dirichlet", "neumann"):
+        V = stacks(preset, m).basis(bc).vectors
+        # random signs; s-odd modes tie +-max between mirror vertices
+        W = V * rng.choice([-1.0, 1.0], V.shape[1])
+        W[:, 3] = 0.0
+        assert np.array_equal(spectral._anchor_signs(W), argmax_signs(W))
+
+
+@pytest.mark.parametrize("config, m", list(SMALL_STACKS) + [(ASYMMETRIC, 4)])
+def test_residual_stencil_is_the_nonzero_pattern_of_E(config, m):
+    G = build_level(load_structure(config), m)
+    i, j = spectral._stencil(G)
+    a, b = np.nonzero(energy_matrix(G).matrix)
+    assert np.array_equal(i, a) and np.array_equal(j, b)
 
 
 def test_interlacing(stacks):
@@ -238,6 +325,31 @@ def test_sierpinski_lambda1_matches_decimation(stacks):
     assert lam1 == pytest.approx(oracle, rel=1e-9)
     # three significant digits against the level-independent limit
     assert abs(lam1 - gasket_lambda1(12)) / gasket_lambda1(12) < 5e-3
+
+
+def test_rayleigh_ground_eigenvalue_matches_decimation(stacks):
+    for m in range(2, 7):
+        lam = rayleigh_quotient(stacks("sierpinski", m).basis("dirichlet"))
+        assert abs(lam - gasket_lambda1(m)) <= 1e-14 * gasket_lambda1(m)
+
+
+def test_rayleigh_ground_eigenvalue_is_thread_independent():
+    # eigh's lambda_1 at sierpinski m = 6 moves by about 1e-12 between one
+    # and two BLAS threads; the edge-energy quotient does not
+    script = (
+        "from pcftube.core import build_level, load_structure\n"
+        "from pcftube.spectral import eigensystem, energy_matrix, rayleigh_quotient\n"
+        "form = energy_matrix(build_level(load_structure('sierpinski'), 6))\n"
+        "print(repr(rayleigh_quotient(eigensystem(form, 'dirichlet'))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.update({var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        out.append(run.stdout)
+    assert out[0] == out[1] and abs(float(out[0]) - gasket_lambda1(6)) <= 1e-14 * gasket_lambda1(6)
 
 
 def test_decimation_oracle_against_brute_force():

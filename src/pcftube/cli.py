@@ -120,7 +120,6 @@ def _cmd_spectrum(args) -> int:
                 "lambda_1": float(basis.eigenvalues[0]),
                 "max_residual": basis.max_residual,
                 "blocks": list(basis.blocks),
-                "irreps": list(basis.irreps),
                 "supnorm_constant": spec.supnorm_ratio(basis),
             }
             try:

@@ -432,8 +432,8 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     return basis
 
 
-def rayleigh_quotient(basis: EigenBasis, mode: int = 0) -> float:
-    """lambda of one mode as the Rayleigh quotient of its eigenvector,
+def rayleigh_quotient(basis: EigenBasis) -> float:
+    """lambda_1 as the Rayleigh quotient of the ground eigenvector,
 
         sum_w (1 / r_w) sum_(p < q) D[p, q] (phi(w_p) - phi(w_q))^2 / sum M phi^2,
 
@@ -443,7 +443,7 @@ def rayleigh_quotient(basis: EigenBasis, mode: int = 0) -> float:
     gives it only to about eps * lambda_max.
     """
     graph = basis.graph
-    phi = basis.vectors[:, mode]
+    phi = basis.vectors[:, 0]
     p, q = np.triu_indices(graph.structure.n_boundary, 1)
     D = np.asarray(graph.structure.harmonic.D, dtype=float)
     phi = phi.astype(np.longdouble)

@@ -62,10 +62,7 @@ def bisect_dimension(r, tol: float = 1e-13) -> float:
 
 
 def decimation_branch(z: float) -> float:
-    """The lower root w of w (5 - w) = z, written 2z / (5 + sqrt(25 - 4z))
-    rather than (5 - sqrt(25 - 4z)) / 2, which cancels about log10(25 / z)
-    digits at small z (1e-12 relative at m = 7)."""
-    return 2.0 * z / (5.0 + math.sqrt(25.0 - 4.0 * z))
+    return (5.0 - math.sqrt(25.0 - 4.0 * z)) / 2.0
 
 
 def gasket_lambda1(m: int) -> float:

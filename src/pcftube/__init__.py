@@ -25,8 +25,6 @@ from .spectral import (
 )
 from .kernels import (
     KernelEvaluator,
-    TruncationError,
-    TruncationPolicy,
     approx_identity_error,
     bound_constant,
     semigroup_defect,
@@ -47,6 +45,7 @@ from .boundary import (
 )
 from .tube import (
     TubeField,
+    fatou_batch,
     fatou_consistency,
     harmonic_residual,
     lp_profile,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ResistanceMetric, VertexGraph
-from .kernels import KernelEvaluator
+from .kernels import KernelEvaluator, two_branch_bound
 
 
 def _maximal(metric: ResistanceMetric, weights: np.ndarray) -> np.ndarray:
@@ -99,9 +99,6 @@ class Cone:
             return np.empty(0, dtype=int)
         return np.flatnonzero(r_row ** (d + 1.0) < self.aperture * t * t)
 
-    def contains(self, r_from_apex: float, d: float, t: float) -> bool:
-        return 0.0 < t < self.height and r_from_apex ** (d + 1.0) < self.aperture * t * t
-
 
 def _cone_running_max(cone: Cone, r_row: np.ndarray, d: float, ts: np.ndarray, field) -> tuple[np.ndarray, bool]:
     """errs[i] = max of |field(j, ts[j])| over the cone members at ts[j], j <= i.
@@ -124,25 +121,18 @@ def _cone_running_max(cone: Cone, r_row: np.ndarray, d: float, ts: np.ndarray, f
 @dataclass
 class ConeSupReport:
     sup: float
-    n_members: int
     ratio: float | None
 
 
 def cone_sup(field, cone: Cone, metric: ResistanceMetric, mf_at_apex: float | None = None) -> ConeSupReport:
     """Sup of |u| over the sampled cone, optionally relative to Mf(apex)."""
-    d = metric.graph.structure.dim
-    r_row = metric.from_vertex(cone.apex)
-    sup = -math.inf
-    count = 0
-    for ti, t in enumerate(field.t_grid):
-        ids = cone.members(r_row, d, float(t))
-        if ids.size:
-            sup = max(sup, float(np.abs(field.values[ti, ids]).max()))
-            count += ids.size
-    if count == 0:
+    d, row = metric.graph.structure.dim, metric.from_vertex(cone.apex)
+    errs, any_member = _cone_running_max(cone, row, d, field.t_grid, lambda i, t: field.values[i])
+    if not any_member:
         raise ValueError("cone contains no sampled points at this level")
+    sup = float(errs[-1])
     ratio = None if mf_at_apex is None else sup / mf_at_apex
-    return ConeSupReport(sup=sup, n_members=count, ratio=ratio)
+    return ConeSupReport(sup=sup, ratio=ratio)
 
 
 def nontangential_error(
@@ -180,17 +170,14 @@ def shifted_kernel_constant(
     skipped.  The cone is taken over ``cone.apex``, the bound in R(x, .)."""
     d = ev.d
     r_apex = metric.from_vertex(cone.apex)
-    r = metric.from_vertex(x)
-    decay = r ** ((3.0 * d + 1.0) / 2.0)
+    bound_at = two_branch_bound(metric.from_vertex(x), d)
     best = 0.0
     for t in t_grid:
         t = float(t)
         members = cone.members(r_apex, d, t)
         if members.size == 0:
             continue
-        branch1 = t ** (-2.0 * d / (d + 1.0))
-        with np.errstate(divide="ignore"):
-            bound = np.where(r > 0.0, np.minimum(branch1, t / decay), branch1)
+        bound = bound_at(t)
         # bound > 0 and best >= 0, so entries with P <= 0 never win: the ratio
         # is formed in place, with no temporaries the size of P
         P = ev.poisson_row(t, members)
@@ -272,6 +259,12 @@ class BoundarySet:
         return metric.matrix()[:, self.vertex_indicator].min(axis=1)
 
 
+# Relative half-width of the sampled lateral shell of the barrier region, and
+# the number of interior proxies that get a decay ladder.
+SHELL_ETA = 0.05
+BARRIER_PROXIES = 3
+
+
 @dataclass
 class BarrierResult:
     t_grid: np.ndarray
@@ -288,16 +281,15 @@ def barrier(
     alpha: float,
     t_grid,
     metric: ResistanceMetric,
-    eta: float = 0.05,
-    n_proxies: int = 3,
 ) -> BarrierResult:
     """Neumann barrier w(t,x) = P_t[chi_complement](x) + t with diagnostics.
 
     The lateral boundary of Omega = union of unit-truncated cones over E is
     sampled as the shell where min-over-E distance satisfies
-    R^(d+1)/t^2 in [alpha(1-eta), alpha(1+eta)], plus the t = 1 cap; the
-    report carries the minimum of w over those samples.  Interior proxies
-    (deepest vertices of E) get a nontangential decay ladder of w.
+    R^(d+1)/t^2 in [alpha(1-eta), alpha(1+eta)] (eta = ``SHELL_ETA``), plus
+    the t = 1 cap; the report carries the minimum of w over those samples.
+    The ``BARRIER_PROXIES`` deepest vertices of E get a nontangential decay
+    ladder of w.
     """
     if ev.bc != "neumann":
         raise ValueError("barrier construction uses the Neumann kernel")
@@ -328,7 +320,7 @@ def barrier(
     boundary_vals = []
     for i, t in enumerate(ts):
         ratio = dist_e ** (d + 1.0) / (t * t)
-        shell = np.flatnonzero((ratio >= alpha * (1.0 - eta)) & (ratio <= alpha * (1.0 + eta)))
+        shell = np.flatnonzero((ratio >= alpha * (1.0 - SHELL_ETA)) & (ratio <= alpha * (1.0 + SHELL_ETA)))
         boundary_vals.extend(values[i, shell])
     # t = 1 cap over the open region
     cap_members = np.flatnonzero(dist_e ** (d + 1.0) < alpha)
@@ -343,7 +335,7 @@ def barrier(
     if interior.size == 0:
         raise ValueError("E has no interior vertices at this level")
     order = interior[np.argsort(-dist_comp[interior])]
-    proxies = [int(v) for v in order[:n_proxies]]
+    proxies = [int(v) for v in order[:BARRIER_PROXIES]]
     decay = {}
     for v in proxies:
         cone = Cone(apex=v, aperture=alpha, height=1.0)
@@ -423,43 +415,3 @@ def cone_cover_check(
         n_violations=violations,
         covered=checked > 0 and violations == 0,
     )
-
-
-def export_maximal_csv(path, mf: np.ndarray) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_id", "Mf"])
-        for x, v in enumerate(mf):
-            writer.writerow([x, repr(float(v))])
-
-
-def export_cone_csv(path, field, cone: Cone, metric: ResistanceMetric) -> None:
-    """Table of (t, y_id, in_cone, u) over the field's grid and vertex set."""
-    import csv
-
-    d = metric.graph.structure.dim
-    row = metric.from_vertex(cone.apex)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y_id", "in_cone", "u"])
-        for ti, t in enumerate(field.t_grid):
-            members = set(cone.members(row, d, float(t)).tolist())
-            for y in range(row.size):
-                writer.writerow(
-                    [repr(float(t)), y, int(y in members), repr(float(field.values[ti, y]))]
-                )
-
-
-def barrier_report(result: BarrierResult) -> dict:
-    """JSON-ready barrier diagnostics."""
-    return {
-        "min_boundary_value": result.boundary_min,
-        "n_boundary_samples": result.n_boundary_samples,
-        "decay_ladder": {
-            str(v): [float(e) for e in errs] for v, errs in result.decay.items()
-        },
-        "t_grid": [float(t) for t in result.t_grid],
-        "proxies": result.proxies,
-    }

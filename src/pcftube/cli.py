@@ -20,7 +20,7 @@ from . import kernels as ker
 from . import spectral as spec
 from . import tube as tb
 from .core import DEFAULT_BUDGET, BudgetError, StructureError, build_level, load_structure
-from .suites import DEFAULT_LEVELS, SUITE_NAMES, verify_suite
+from .suites import SUITE_NAMES, default_level, verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAIL = 1
@@ -104,7 +104,7 @@ def _bcs(bc: str) -> list[str]:
 
 def _cmd_spectrum(args) -> int:
     S = _structure(args)
-    levels = args.levels if args.levels else [args.level if args.level is not None else DEFAULT_LEVELS.get(S.name, 4)]
+    levels = args.levels if args.levels else [default_level(S, args.level)]
     summary = []
     for lvl in levels:
         graph = build_level(S, lvl, args.budget)
@@ -144,7 +144,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_kernel(args) -> int:
     S = _structure(args)
-    lvl = args.level if args.level is not None else DEFAULT_LEVELS.get(S.name, 4)
+    lvl = default_level(S, args.level)
     graph = build_level(S, lvl, args.budget)
     form = spec.energy_matrix(graph)
     os.makedirs(args.out, exist_ok=True)
@@ -152,13 +152,13 @@ def _cmd_kernel(args) -> int:
     info = {}
     for bc in _bcs(args.bc):
         basis = spec.eigensystem(form, bc)
-        ev = ker.KernelEvaluator(basis, ker.TruncationPolicy(tail_tol=args.tol))
+        ev = ker.KernelEvaluator(basis, args.tol)
         ids = sorted({int(graph.boundary_ids[0]), graph.vertex_id((0,), S.n_boundary - 1), graph.n_vertices // 2})
         points = [(x, y) for x in ids for y in ids]
         ker.export_kernel_csv(os.path.join(args.out, f"kernels_{bc}.csv"), ev, t_grid, points)
         info[bc] = {
             "t_min": ev.t_min(),
-            "achievable_tau": {repr(t): ev.achievable_tau(t) for t in t_grid},
+            "achievable_tau": {repr(t): ev.tail_estimate(t) for t in t_grid},
             "mass_at_interior": {repr(t): ev.kernel_mass(t, ids[-1]) for t in t_grid},
         }
     _write_json(os.path.join(args.out, "kernel_report.json"), {"preset": S.name, "level": lvl, "bc": info})
@@ -195,21 +195,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fatou(args) -> int:
     S = _structure(args)
-    lvl = args.level if args.level is not None else DEFAULT_LEVELS.get(S.name, 4)
-    graph = build_level(S, lvl, args.budget)
-    form = spec.energy_matrix(graph)
-    basis = spec.eigensystem(form, "dirichlet")
-    ev = ker.KernelEvaluator(basis, ker.TruncationPolicy(tail_tol=args.tol))
-    rng = np.random.default_rng(args.seed)
-    grid = np.array([0.1, 0.2, 0.3, 0.5])
-    defects = []
-    profiles = []
-    for _ in range(args.batch):
-        f = rng.standard_normal(graph.n_vertices)
-        f[graph.boundary_ids] = 0.0
-        fld = tb.tube_sample(ev, f, grid)
-        defects.append(tb.fatou_consistency(ev, fld, 0.1, 0.2))
-        profiles.append(tb.lp_profile(fld, 2).sup)
+    lvl = default_level(S, args.level)
+    basis = spec.eigensystem(spec.energy_matrix(build_level(S, lvl, args.budget)), "dirichlet")
+    ev = ker.KernelEvaluator(basis, args.tol)
+    defects, fields = tb.fatou_batch(ev, np.random.default_rng(args.seed), args.batch)
+    profiles = [tb.lp_profile(fld, 2).sup for fld in fields]
     os.makedirs(args.out, exist_ok=True)
     payload = {
         "preset": S.name,

@@ -27,43 +27,15 @@ from .core import TIE_RTOL
 from .spectral import EigenBasis, eigen_growth_constants, supnorm_ratio
 
 
-class TruncationError(RuntimeError):
-    """Requested tail tolerance is not achievable with the available modes."""
-
-    def __init__(self, requested: float, achievable: float, t: float):
-        super().__init__(
-            f"tail tolerance {requested:.1e} unachievable at t = {t:g}; "
-            f"achievable tau is {achievable:.1e}"
-        )
-        self.requested = requested
-        self.achievable = achievable
-
-
-@dataclass
-class TruncationPolicy:
-    """Mode truncation: fixed count and/or a tail tolerance to report against.
-
-    ``n_modes = None`` keeps every computed mode.  ``tail_tol`` is the tau
-    used by resolvability reporting; with ``enforce`` set, kernel evaluations
-    below the resolvable time raise instead of reporting.
-    """
-
-    n_modes: int | None = None
-    tail_tol: float | None = 1e-8
-    enforce: bool = False
-
-
 class KernelEvaluator:
     """Kernel and Poisson-integral evaluations on one eigenbasis."""
 
-    def __init__(self, basis: EigenBasis, policy: TruncationPolicy | None = None):
+    def __init__(self, basis: EigenBasis, tail_tol: float = 1e-8):
         self.basis = basis
-        self.policy = policy or TruncationPolicy()
-        n = basis.n_modes if self.policy.n_modes is None else min(self.policy.n_modes, basis.n_modes)
-        self.n_used = n
-        self.lam = basis.eigenvalues[:n]
+        self.tail_tol = tail_tol
+        self.lam = basis.eigenvalues
         self.sqrt_lam = np.sqrt(self.lam)
-        self.vectors = basis.vectors[:, :n]
+        self.vectors = basis.vectors
         self.mass = basis.mass
         self.d = basis.dim
         # Terms with rate * t above this are below 2^-1075 / e in magnitude
@@ -98,7 +70,7 @@ class KernelEvaluator:
             raise ValueError("t must be positive")
         d, c1, C = self.d, self.growth_lower, self.sup_constant
         total = 0.0
-        n0 = self.n_used + 1
+        n0 = self.lam.size + 1
         chunk = 4096
         for _ in range(10_000):
             n = np.arange(n0, n0 + chunk, dtype=float)
@@ -110,28 +82,19 @@ class KernelEvaluator:
             n0 += chunk
         return total
 
-    def achievable_tau(self, t: float) -> float:
-        return self.tail_estimate(t)
-
     def t_min(self) -> float:
         """Smallest time with the configured tail tolerance achievable."""
-        tau = self.policy.tail_tol
-        if tau is None:
-            return 0.0
         lam_top = float(self.lam[-1])
         if lam_top <= 0.0:
             return 0.0
-        return math.log(1.0 / tau) / math.sqrt(lam_top)
+        return math.log(1.0 / self.tail_tol) / math.sqrt(lam_top)
 
     def resolvable(self, t: float) -> bool:
-        tau = self.policy.tail_tol
-        return tau is None or self.achievable_tau(t) <= tau
+        return self.tail_estimate(t) <= self.tail_tol
 
     def _check(self, t: float) -> None:
         if t <= 0.0:
             raise ValueError("t must be positive")
-        if self.policy.enforce and not self.resolvable(t):
-            raise TruncationError(self.policy.tail_tol, self.achievable_tau(t), t)
 
     # -- kernel values ---------------------------------------------------------
 
@@ -184,7 +147,7 @@ class KernelEvaluator:
         if isinstance(f, np.ndarray) and f.ndim == 1 and f.size == self.graph.n_vertices:
             return self.vectors.T @ (self.mass * f)
         atoms = list(f)
-        a = np.zeros(self.n_used)
+        a = np.zeros(self.lam.size)
         for vertex, weight in atoms:
             a += float(weight) * self.vectors[int(vertex)]
         return a
@@ -311,6 +274,22 @@ def _fold_max(best: float, at: tuple, ratio: np.ndarray, skip: np.ndarray, t: fl
     return max(best, c), at
 
 
+def two_branch_bound(r: np.ndarray, d: float):
+    """t -> min{t^(-2d/(d+1)), t / R^((3d+1)/2)} over the distances ``r``.
+
+    Where R = 0 only the first branch applies.  The power of ``r`` is taken
+    once; the returned function evaluates the bound at one time.
+    """
+    decay = r ** ((3.0 * d + 1.0) / 2.0)
+
+    def bound(t: float) -> np.ndarray:
+        branch1 = t ** (-2.0 * d / (d + 1.0))
+        with np.errstate(divide="ignore"):
+            return np.where(r > 0.0, np.minimum(branch1, t / decay), branch1)
+
+    return bound
+
+
 def bound_constant(ev: KernelEvaluator, metric, t_grid, pairs=None) -> BoundConstants:
     """Sweep P(t,x,y) against min{t^(-2d/(d+1)), t / R^((3d+1)/2)}.
 
@@ -325,16 +304,14 @@ def bound_constant(ev: KernelEvaluator, metric, t_grid, pairs=None) -> BoundCons
     else:
         xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     r = metric.matrix()[xs, ys]
-    decay = r ** ((3.0 * d + 1.0) / 2.0)
+    bound_at = two_branch_bound(r, d)
     spread = r ** (d + 1.0)
     best = best_p = -math.inf
     at = at_p = (0.0, 0, 0)
     for t in t_grid:
         val = ev.poisson_matrix(t)[xs, ys]
         skip = val <= 0.0
-        branch1 = t ** (-2.0 * d / (d + 1.0))
-        with np.errstate(divide="ignore"):
-            bound = np.where(r > 0.0, np.minimum(branch1, t / decay), branch1)
+        bound = bound_at(t)
         combined = t / (t * t + spread) ** ((3.0 * d + 1.0) / (2.0 * (d + 1.0)))
         best, at = _fold_max(best, at, val / bound, skip, t, xs, ys)
         best_p, at_p = _fold_max(best_p, at_p, val / combined, skip, t, xs, ys)

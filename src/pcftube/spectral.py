@@ -24,6 +24,9 @@ RESIDUAL_TOL = 1e-8
 # degenerate cluster.  Roundoff splits clusters by <= 4e-12 and the smallest
 # genuine relative gap is 2.9e-5 on sierpinski m <= 7.
 EIG_RTOL = 1e-9
+# Fraction of the spectrum (lower and upper index fraction) where the discrete
+# eigenvalues track the continuum: the Weyl and growth fits read only it.
+FIT_WINDOW = (0.05, 0.25)
 # Peak number of live n x n float64 arrays while one level's energy form and
 # both eigenbases are built: E, the held Dirichlet basis, the working block and
 # what eigh itself allocates (its input copy, syevd's 2 n^2 workspace and its
@@ -44,10 +47,6 @@ class EnergyForm:
 
     graph: VertexGraph
     matrix: np.ndarray
-
-    @property
-    def level(self) -> int:
-        return self.graph.level
 
     def energy(self, f: np.ndarray) -> float:
         return float(f @ self.matrix @ f)
@@ -142,10 +141,10 @@ class EigenBasis:
     def dim(self) -> float:
         return self.graph.structure.dim
 
-    def window_indices(self, window: tuple[float, float] = (0.05, 0.25)) -> np.ndarray:
-        """Mode indices in the stated fraction of the spectrum, skipping lambda = 0."""
-        lo = max(int(np.floor(window[0] * self.n_modes)), 0)
-        hi = max(int(np.ceil(window[1] * self.n_modes)), lo + 1)
+    def window_indices(self) -> np.ndarray:
+        """Mode indices in the FIT_WINDOW fraction of the spectrum, skipping lambda = 0."""
+        lo = max(int(np.floor(FIT_WINDOW[0] * self.n_modes)), 0)
+        hi = max(int(np.ceil(FIT_WINDOW[1] * self.n_modes)), lo + 1)
         idx = np.arange(lo, min(hi, self.n_modes))
         return idx[self.eigenvalues[idx] > 0.0]
 
@@ -471,19 +470,18 @@ class WeylFit:
     intercept: float
     max_residual: float
     n_points: int
-    window: tuple[float, float]
 
 
-def weyl_exponent(basis: EigenBasis, window: tuple[float, float] = (0.05, 0.25)) -> WeylFit:
+def weyl_exponent(basis: EigenBasis) -> WeylFit:
     """Least-squares slope of log N(lambda_n) against log lambda_n.
 
     N counts every eigenvalue of lambda_n's cluster (``counting_function``),
     so the fit depends only on the eigenvalue multiset.
 
     Only the lower part of the discrete spectrum tracks the continuum, so the
-    fit is restricted to the given index window.
+    fit is restricted to the index window FIT_WINDOW.
     """
-    idx = basis.window_indices(window)
+    idx = basis.window_indices()
     if idx.size < 10:
         raise ValueError("window selects fewer than 10 eigenvalues")
     lam = basis.eigenvalues[idx]
@@ -498,15 +496,12 @@ def weyl_exponent(basis: EigenBasis, window: tuple[float, float] = (0.05, 0.25))
         intercept=float(coef[1]),
         max_residual=float(resid),
         n_points=int(idx.size),
-        window=window,
     )
 
 
-def eigen_growth_constants(
-    basis: EigenBasis, window: tuple[float, float] = (0.05, 0.25)
-) -> tuple[float, float]:
-    """Window extremes of lambda_n / n**((d+1)/d)."""
-    idx = basis.window_indices(window)
+def eigen_growth_constants(basis: EigenBasis) -> tuple[float, float]:
+    """Extremes of lambda_n / n**((d+1)/d) over FIT_WINDOW."""
+    idx = basis.window_indices()
     if idx.size == 0:
         raise ValueError("empty window")
     d = basis.dim
@@ -515,18 +510,12 @@ def eigen_growth_constants(
     return float(ratio.min()), float(ratio.max())
 
 
-def supnorm_ratio(
-    basis: EigenBasis, window: tuple[float, float] | None = None
-) -> float:
+def supnorm_ratio(basis: EigenBasis) -> float:
     """Empirical C with sup|phi_n| <= C * lambda_n**(d/(2(d+1))).
 
-    By default all modes with lambda > 0 enter (the lambda = 0 Neumann mode
-    is excluded); pass a window to restrict to a spectral band.
+    All modes with lambda > 0 enter (the lambda = 0 Neumann mode is excluded).
     """
-    if window is None:
-        idx = np.flatnonzero(basis.eigenvalues > 0.0)
-    else:
-        idx = basis.window_indices(window)
+    idx = np.flatnonzero(basis.eigenvalues > 0.0)
     if idx.size == 0:
         raise ValueError("no modes with positive eigenvalue")
     d = basis.dim

@@ -34,6 +34,11 @@ SUITE_NAMES = ("core", "spectral", "kernels", "boundary", "tube")
 DEFAULT_LEVELS = {"interval": 8, "sierpinski": 5, "vicsek": 3}
 
 
+def default_level(structure: SelfSimilarStructure, level: int | None) -> int:
+    """``level``, or the structure's desk-scale default when it is None."""
+    return level if level is not None else DEFAULT_LEVELS.get(structure.name, 4)
+
+
 @dataclass
 class CheckRecord:
     id: str
@@ -155,7 +160,7 @@ class SuiteContext:
         lvl = self.level if level is None else level
         key = (lvl, bc)
         if key not in self._evaluators:
-            self._evaluators[key] = ker.KernelEvaluator(self.basis(bc, lvl), ker.TruncationPolicy(tail_tol=self.tol))
+            self._evaluators[key] = ker.KernelEvaluator(self.basis(bc, lvl), self.tol)
         return self._evaluators[key]
 
     def metric(self, level: int | None = None) -> ResistanceMetric:
@@ -754,13 +759,7 @@ def _tube_suite(ctx: SuiteContext, r: _Runner) -> None:
     r.run("tube.min_on_boundary", "nonnegative Dirichlet fields take their minimum on the boundary", min_on_boundary, None)
 
     def fatou():
-        worst = 0.0
-        grid = np.array([0.1, 0.2, 0.3, 0.5])
-        for _ in range(8):
-            f = rng.standard_normal(graph.n_vertices)
-            f[graph.boundary_ids] = 0.0
-            fld = tb.tube_sample(evD, f, grid)
-            worst = max(worst, tb.fatou_consistency(evD, fld, 0.1, 0.2))
+        worst = max(tb.fatou_batch(evD, rng, 8)[0])
         return worst, worst <= 1e-6
 
     r.run("tube.fatou", "fields reconstruct as Poisson integrals of their own slices", fatou, 1e-6)
@@ -809,7 +808,7 @@ def _tube_suite(ctx: SuiteContext, r: _Runner) -> None:
     def atomic_l1():
         x = ctx.interior_sample()
         vals = evD.poisson_integral([(x, 1.0)], ladder)
-        fld = tb.TubeField(ladder, vals, "poisson-atoms", "dirichlet", graph)
+        fld = tb.TubeField(ladder, vals, "dirichlet", graph)
         prof = tb.lp_profile(fld, 1)
         return prof.sup, prof.sup <= 1.0 + 1e-9
 
@@ -818,7 +817,7 @@ def _tube_suite(ctx: SuiteContext, r: _Runner) -> None:
     def decay_exponent():
         x = ctx.interior_sample()
         vals = evD.poisson_integral([(x, 1.0)], ladder)
-        fld = tb.TubeField(ladder, vals, "poisson-atoms", "dirichlet", graph)
+        fld = tb.TubeField(ladder, vals, "dirichlet", graph)
         return tb.lp_profile(fld, math.inf).fit_exponent, True
 
     r.run("tube.decay_exponent", "pointwise decay exponent recorded against the p-dependent envelope", decay_exponent, None)
@@ -846,7 +845,7 @@ def verify_suite(
     if name not in SUITE_NAMES and name != "all":
         raise ValueError(f"unknown suite {name!r}")
     structure = load_structure(config if config is not None else preset)
-    lvl = level if level is not None else DEFAULT_LEVELS.get(structure.name, 4)
+    lvl = default_level(structure, level)
     ctx = SuiteContext(structure, lvl, tol=tol, seed=seed, budget=budget)
     runner = _Runner()
     names = SUITE_NAMES if name == "all" else (name,)

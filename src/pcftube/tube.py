@@ -17,14 +17,19 @@ import numpy as np
 from .kernels import KernelEvaluator
 from .spectral import EnergyForm
 
+EXTREMA_SLACK = 1e-9
+# The Fatou batch: each random Dirichlet field is sampled on FATOU_GRID and
+# u(s + t, .) is rebuilt from the slice u(s, .) with (s, t) = FATOU_SHIFT.
+FATOU_GRID = (0.1, 0.2, 0.3, 0.5)
+FATOU_SHIFT = (0.1, 0.2)
+
 
 @dataclass
 class TubeField:
-    """Samples over t_grid x V_m with a provenance tag ("poisson", "barrier", ...)."""
+    """Samples over t_grid x V_m of a field with boundary condition ``bc``."""
 
     t_grid: np.ndarray
     values: np.ndarray
-    provenance: str
     bc: str
     graph: object
 
@@ -52,7 +57,7 @@ class TubeField:
 def tube_sample(ev: KernelEvaluator, f, t_grid) -> TubeField:
     """Poisson integral of f sampled on a time ladder."""
     ts = np.asarray(list(t_grid), dtype=float)
-    return TubeField(t_grid=ts, values=ev.poisson_integral(f, ts), provenance="poisson", bc=ev.bc, graph=ev.graph)
+    return TubeField(t_grid=ts, values=ev.poisson_integral(f, ts), bc=ev.bc, graph=ev.graph)
 
 
 def _second_divided_difference(t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -105,11 +110,12 @@ class ExtremaReport:
     ok: bool
 
 
-def max_principle_check(field: TubeField, a: float, b: float, slack: float = 1e-9) -> ExtremaReport:
+def max_principle_check(field: TubeField, a: float, b: float) -> ExtremaReport:
     """Verify slab extrema sit on {t=a}, {t=b} or the boundary columns.
 
-    The allowed slack is relative to the field's range over the slab, which
-    absorbs floating-point ties in degenerate (constant) fields.
+    The allowed slack, ``EXTREMA_SLACK``, is relative to the field's range
+    over the slab, which absorbs floating-point ties in degenerate (constant)
+    fields.
     """
     ts = field.t_grid
     sel = (ts >= a - 1e-15) & (ts <= b + 1e-15)
@@ -129,7 +135,7 @@ def max_principle_check(field: TubeField, a: float, b: float, slack: float = 1e-
     i_min = np.unravel_index(int(np.argmin(sub)), sub.shape)
     excess = slab_max - bmax
     deficit = bmin - slab_min
-    ok = excess <= slack * rng and deficit <= slack * rng
+    ok = excess <= EXTREMA_SLACK * rng and deficit <= EXTREMA_SLACK * rng
     return ExtremaReport(
         slab_max=slab_max,
         slab_min=slab_min,
@@ -148,7 +154,7 @@ def fatou_consistency(ev: KernelEvaluator, field: TubeField, s: float, t: float)
 
     This reconstruction identity is the computable content of the Fatou
     theorem for bounded fields with zero boundary columns, so only Dirichlet
-    provenance is accepted.
+    fields are accepted.
     """
     if field.bc != "dirichlet" or ev.bc != "dirichlet":
         raise ValueError("Fatou reconstruction applies to Dirichlet fields")
@@ -156,6 +162,24 @@ def fatou_consistency(ev: KernelEvaluator, field: TubeField, s: float, t: float)
     u_ts = field.row(t + s)
     rebuilt = ev.poisson_integral(u_s, t)
     return float(np.abs(rebuilt - u_ts).max())
+
+
+def fatou_batch(ev: KernelEvaluator, rng: np.random.Generator, count: int) -> tuple[list[float], list[TubeField]]:
+    """Reconstruction defects of ``count`` random Dirichlet fields, and the fields.
+
+    Each field is the Poisson integral of standard normal data drawn from
+    ``rng`` (one draw per field, zero on the boundary), sampled on FATOU_GRID;
+    its defect is ``fatou_consistency`` at FATOU_SHIFT.
+    """
+    graph = ev.graph
+    defects, fields = [], []
+    for _ in range(count):
+        f = rng.standard_normal(graph.n_vertices)
+        f[graph.boundary_ids] = 0.0
+        fld = tube_sample(ev, f, FATOU_GRID)
+        defects.append(fatou_consistency(ev, fld, *FATOU_SHIFT))
+        fields.append(fld)
+    return defects, fields
 
 
 @dataclass
@@ -196,45 +220,3 @@ def lp_profile(field: TubeField, p) -> ProfileReport:
         sup=float(norms.max()),
         fit_exponent=exponent,
     )
-
-
-def export_tube_csv(path, field: TubeField) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x_id", "value"])
-        for i, t in enumerate(field.t_grid):
-            for x in range(field.values.shape[1]):
-                writer.writerow([repr(float(t)), x, repr(float(field.values[i, x]))])
-
-
-def field_diagnostics(field: TubeField, form: EnergyForm, ev: KernelEvaluator | None = None) -> dict:
-    """JSON-ready bundle: residual, slab extrema, defects, norm profiles.
-
-    The reconstruction defect is only measured for Dirichlet fields with an
-    evaluator supplied and at least three grid times.
-    """
-    out: dict = {"provenance": field.provenance, "bc": field.bc}
-    if field.t_grid.size >= 3:
-        out["max_residual"] = harmonic_residual(field, form).max_residual
-    a, b = float(field.t_grid[0]), float(field.t_grid[-1])
-    rep = max_principle_check(field, a, b)
-    out["extrema_locations"] = {
-        "max": {"t": rep.max_location[0], "x_id": rep.max_location[1], "value": rep.slab_max},
-        "min": {"t": rep.min_location[0], "x_id": rep.min_location[1], "value": rep.slab_min},
-        "on_boundary": rep.ok,
-    }
-    defects = []
-    if ev is not None and field.bc == "dirichlet" and field.t_grid.size >= 3:
-        s = float(field.t_grid[0])
-        for t_total in field.t_grid[1:]:
-            t = float(t_total) - s
-            if t <= 0.0:
-                continue
-            defects.append({"s": s, "t": t, "defect": fatou_consistency(ev, field, s, t)})
-    out["defects"] = defects
-    out["norm_profiles"] = {
-        str(p): [float(v) for v in lp_profile(field, p).norms] for p in (1, 2, math.inf)
-    }
-    return out

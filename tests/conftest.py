@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pcftube.core import ResistanceMetric, build_level, load_structure
-from pcftube.kernels import KernelEvaluator, TruncationPolicy
+from pcftube.kernels import KernelEvaluator
 from pcftube.spectral import eigensystem, energy_matrix
 
 
@@ -29,11 +29,10 @@ class Stack:
             self._bases[bc] = eigensystem(self.form, bc)
         return self._bases[bc]
 
-    def evaluator(self, bc: str, **policy):
-        key = (bc, tuple(sorted(policy.items())))
-        if key not in self._evaluators:
-            self._evaluators[key] = KernelEvaluator(self.basis(bc), TruncationPolicy(**policy))
-        return self._evaluators[key]
+    def evaluator(self, bc: str):
+        if bc not in self._evaluators:
+            self._evaluators[bc] = KernelEvaluator(self.basis(bc))
+        return self._evaluators[bc]
 
     @property
     def metric(self) -> ResistanceMetric:

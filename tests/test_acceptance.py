@@ -142,7 +142,7 @@ def test_criterion_06_weyl_exponents():
     ):
         graph = build_level(load_structure(preset), m)
         basis = eigensystem(energy_matrix(graph), "dirichlet")
-        fit = weyl_exponent(basis, window=(0.05, 0.25))
+        fit = weyl_exponent(basis)
         results.append((preset, fit.slope, target, abs(fit.slope - target)))
     elapsed = time.perf_counter() - t0
     ok = all(dev <= 0.05 for _, _, _, dev in results) and elapsed < 60.0
@@ -257,7 +257,7 @@ def test_criterion_10_fatou_and_profiles(stacks):
     x = st.graph.vertex_id((0,), 1)
     tl = np.geomspace(0.05, 1.0, 8)
     atom_vals = np.vstack([evd.poisson_integral([(x, 1.0)], float(t)) for t in tl])
-    atom_fld = TubeField(tl, atom_vals, "poisson-atoms", "dirichlet", st.graph)
+    atom_fld = TubeField(tl, atom_vals, "dirichlet", st.graph)
     atom_sup = lp_profile(atom_fld, 1).sup
     ok = worst_defect <= 1e-6 and bounded and atom_sup <= 1.0 + 1e-9
     _crit(

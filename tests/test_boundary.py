@@ -368,46 +368,3 @@ def test_cover_sierpinski_corner(stacks):
     E = BoundarySet(st.graph, [(0,)])
     rep = cone_cover_check(st.metric, E, int(st.graph.boundary_ids[0]), 4.0, 1)
     assert rep.covered
-
-
-# -- exports ------------------------------------------------------------------------------------
-
-
-def test_export_maximal_and_cone_csv(tmp_path, stacks):
-    from pcftube.boundary import export_cone_csv, export_maximal_csv
-
-    st = stacks("interval", 4)
-    f = np.ones(st.graph.n_vertices)
-    export_maximal_csv(tmp_path / "mf.csv", maximal_function(st.metric, f))
-    rows = (tmp_path / "mf.csv").read_text().strip().splitlines()
-    assert rows[0] == "x_id,Mf" and len(rows) == 1 + st.graph.n_vertices
-
-    x = st.graph.vertex_id((0,), 1)
-    fld = tube_sample(st.evaluator("neumann"), f, [0.1, 0.3])
-    export_cone_csv(tmp_path / "cone.csv", fld, Cone(x, 1.0), st.metric)
-    import csv
-
-    with open(tmp_path / "cone.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 * st.graph.n_vertices
-    flagged = [r for r in rows if r["in_cone"] == "1"]
-    assert flagged, "apex must always belong to its own cone"
-    d = st.structure.dim
-    R = st.metric.from_vertex(x)
-    for r in flagged:
-        assert R[int(r["y_id"])] ** (d + 1.0) < float(r["t"]) ** 2
-
-
-def test_barrier_report_schema(stacks):
-    from pcftube.boundary import barrier_report
-
-    st = stacks("interval", 6)
-    E = BoundarySet(st.graph, [(0,)])
-    res = barrier(st.evaluator("neumann"), E, 1.0, np.geomspace(0.05, 0.8, 6), st.metric)
-    report = barrier_report(res)
-    assert set(report) == {"min_boundary_value", "n_boundary_samples", "decay_ladder", "t_grid", "proxies"}
-    assert report["min_boundary_value"] > 0.0
-    assert all(len(v) == 6 for v in report["decay_ladder"].values())
-    import json
-
-    json.dumps(report)  # JSON-serializable

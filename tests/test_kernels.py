@@ -7,8 +7,6 @@ import pytest
 from pcftube.core import build_level, load_structure
 from pcftube.kernels import (
     KernelEvaluator,
-    TruncationError,
-    TruncationPolicy,
     approx_identity_error,
     bound_constant,
     semigroup_defect,
@@ -117,7 +115,7 @@ def test_underflow_cut_is_exact(stacks, preset, m, bc):
         assert np.array_equal(ev.poisson_row(t, ids), full_mode_kernel(V, ev.sqrt_lam, t, ids, slice(None)))
     # The comparison covers the cut: from t = 0.05 on the heat series keeps a
     # fraction of the modes, at t = 50 no more than two.
-    assert ev._live(ev.lam, 0.05) < ev.n_used / 2
+    assert ev._live(ev.lam, 0.05) < ev.lam.size / 2
     assert ev._live(ev.lam, 50.0) <= 2
 
 
@@ -258,7 +256,7 @@ def test_poisson_integral_time_ladder(stacks, rng):
 
 def test_poisson_integral_ladder_enforces_every_time(stacks, monkeypatch):
     st = stacks("interval", 8)
-    ev = st.evaluator("dirichlet", tail_tol=1e-8, enforce=True)
+    ev = KernelEvaluator(st.basis("dirichlet"))
     f = np.zeros(st.graph.n_vertices)
     f[5] = 1.0
     ev.poisson_integral(f, [0.3, 0.5])
@@ -267,8 +265,8 @@ def test_poisson_integral_ladder_enforces_every_time(stacks, monkeypatch):
         raise AssertionError("f was projected before every time was checked")
 
     monkeypatch.setattr(ev, "coefficients", projected)
-    with pytest.raises(TruncationError):
-        ev.poisson_integral(f, [0.3, 1e-3, 0.5])
+    with pytest.raises(ValueError):
+        ev.poisson_integral(f, [0.3, 0.0, 0.5])
 
 
 # -- semigroup property ------------------------------------------------------------------
@@ -334,7 +332,7 @@ def test_dirichlet_mass_small_time(stacks):
 
 def test_tail_estimate_monotone_in_t(stacks):
     ev = stacks("interval", 8).evaluator("dirichlet")
-    taus = [ev.achievable_tau(t) for t in (0.02, 0.05, 0.2)]
+    taus = [ev.tail_estimate(t) for t in (0.02, 0.05, 0.2)]
     assert taus[0] > taus[1] > taus[2]
 
 
@@ -346,18 +344,14 @@ def test_t_min_reporting(stacks):
     assert ev.resolvable(2.0 * t_floor)
 
 
-def test_enforced_policy_raises_below_floor(stacks):
-    st = stacks("interval", 8)
-    ev = st.evaluator("dirichlet", tail_tol=1e-8, enforce=True)
-    with pytest.raises(TruncationError) as err:
-        ev.poisson(1e-3, 0, 0)
-    assert err.value.achievable > 1e-8
+def _truncated(basis, k):
+    return EigenBasis(basis.bc, basis.graph, basis.eigenvalues[:k], basis.vectors[:, :k], basis.mass)
 
 
 def test_fixed_mode_truncation(stacks):
     st = stacks("interval", 8)
     basis = st.basis("dirichlet")
-    ev = KernelEvaluator(basis, TruncationPolicy(n_modes=5, tail_tol=None))
+    ev = KernelEvaluator(_truncated(basis, 5))
     x = st.graph.vertex_id((0,), 1)
     w = np.exp(-np.sqrt(basis.eigenvalues[:5]) * 0.2)
     expect = float(np.sum(w * basis.vectors[x, :5] ** 2))
@@ -367,12 +361,12 @@ def test_fixed_mode_truncation(stacks):
 def test_tail_estimate_dominates_truncation_effect(stacks):
     st = stacks("interval", 8)
     full = st.evaluator("dirichlet")
-    trunc = KernelEvaluator(st.basis("dirichlet"), TruncationPolicy(n_modes=64))
+    trunc = KernelEvaluator(_truncated(st.basis("dirichlet"), 64))
     x = st.graph.vertex_id((0,), 1)
     y = st.graph.vertex_id((0, 0), 1)
     for t in (0.05, 0.1, 0.2):
         omitted = abs(full.poisson(t, x, y) - trunc.poisson(t, x, y))
-        assert omitted <= trunc.achievable_tau(t)
+        assert omitted <= trunc.tail_estimate(t)
 
 
 # -- bounds and approximation of the identity ----------------------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pcftube.tube import (
+    FATOU_GRID,
     TubeField,
+    fatou_batch,
     fatou_consistency,
     harmonic_residual,
     lp_profile,
@@ -54,12 +56,12 @@ def test_field_validation():
         boundary_ids = np.array([0])
 
     with pytest.raises(ValueError, match="increasing"):
-        TubeField(np.array([0.2, 0.1]), np.zeros((2, 3)), "custom", "neumann", FakeGraph())
+        TubeField(np.array([0.2, 0.1]), np.zeros((2, 3)), "neumann", FakeGraph())
     with pytest.raises(ValueError, match="finite"):
-        TubeField(np.array([0.1, 0.2]), np.full((2, 3), np.nan), "custom", "neumann", FakeGraph())
+        TubeField(np.array([0.1, 0.2]), np.full((2, 3), np.nan), "neumann", FakeGraph())
     bad = np.ones((2, 3))
     with pytest.raises(ValueError, match="boundary"):
-        TubeField(np.array([0.1, 0.2]), bad, "custom", "dirichlet", FakeGraph())
+        TubeField(np.array([0.1, 0.2]), bad, "dirichlet", FakeGraph())
 
 
 def test_dirichlet_columns_exactly_zero(stacks, rng):
@@ -183,6 +185,24 @@ def test_fatou_needs_grid_times(stacks):
         fatou_consistency(st.evaluator("dirichlet"), fld, 0.1, 0.15)
 
 
+def test_fatou_batch_fields_and_draws(stacks):
+    st = stacks("sierpinski", 4)
+    ev = st.evaluator("dirichlet")
+    rng = np.random.default_rng(5)
+    defects, fields = fatou_batch(ev, rng, 3)
+    # one standard normal vector per field, so later draws from rng are the
+    # ones a caller would get after three fields of its own
+    ref = np.random.default_rng(5)
+    for defect, fld in zip(defects, fields):
+        f = ref.standard_normal(st.graph.n_vertices)
+        f[st.graph.boundary_ids] = 0.0
+        assert np.array_equal(fld.t_grid, FATOU_GRID)
+        assert np.array_equal(fld.values, ev.poisson_integral(f, np.array(FATOU_GRID)))
+        assert defect == fatou_consistency(ev, fld, 0.1, 0.2) and defect <= 1e-10
+    assert len(defects) == 3
+    assert rng.standard_normal() == ref.standard_normal()
+
+
 # -- L^p profiles ---------------------------------------------------------------------------
 
 
@@ -222,7 +242,7 @@ def test_profile_atomic_measure_l1_bounded(stacks):
     x = st.graph.vertex_id((0,), 1)
     grid = np.geomspace(0.05, 1.0, 8)
     vals = np.vstack([ev.poisson_integral([(x, 1.0)], float(t)) for t in grid])
-    fld = TubeField(grid, vals, "poisson-atoms", "dirichlet", st.graph)
+    fld = TubeField(grid, vals, "dirichlet", st.graph)
     prof = lp_profile(fld, 1)
     assert prof.sup <= 1.0 + 1e-9
     assert math.isfinite(lp_profile(fld, math.inf).fit_exponent)
@@ -240,33 +260,3 @@ def test_positivity_propagation(stacks, rng):
     f = np.abs(rng.standard_normal(st.graph.n_vertices))
     fld = tube_sample(st.evaluator("neumann"), f, np.geomspace(0.1, 1.0, 6))
     assert fld.values.min() >= -1e-9 * np.abs(fld.values).max()
-
-
-def test_export_tube_csv(tmp_path, stacks):
-    from pcftube.tube import export_tube_csv
-
-    st = stacks("interval", 3)
-    fld = tube_sample(st.evaluator("neumann"), np.ones(st.graph.n_vertices), [0.1, 0.2])
-    path = tmp_path / "tube.csv"
-    export_tube_csv(path, fld)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t,x_id,value"
-    assert len(rows) == 1 + 2 * st.graph.n_vertices
-
-
-def test_field_diagnostics_schema(stacks, rng):
-    import json
-
-    from pcftube.tube import field_diagnostics
-
-    st = stacks("interval", 7)
-    ev = st.evaluator("dirichlet")
-    f = rng.standard_normal(st.graph.n_vertices)
-    f[st.graph.boundary_ids] = 0.0
-    fld = tube_sample(ev, f, np.array([0.1, 0.2, 0.3, 0.5]))
-    diag = field_diagnostics(fld, st.form, ev)
-    assert {"max_residual", "extrema_locations", "defects", "norm_profiles"} <= set(diag)
-    assert diag["extrema_locations"]["on_boundary"] is True
-    assert diag["defects"] and max(d["defect"] for d in diag["defects"]) <= 1e-6
-    assert set(diag["norm_profiles"]) == {"1", "2", "inf"}
-    json.dumps(diag)

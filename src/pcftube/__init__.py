@@ -15,7 +15,6 @@ from .core import (
 from .spectral import (
     EigenBasis,
     EnergyForm,
-    counting_function,
     eigen_growth_constants,
     eigensystem,
     energy_matrix,

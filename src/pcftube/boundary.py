@@ -233,12 +233,9 @@ class BoundarySet:
 
     def __post_init__(self):
         graph = self.graph
-        prefixes = {tuple(w) for w in self.words}
-        lengths = {len(w) for w in prefixes}
         member = np.zeros(graph.n_cells, dtype=bool)
-        for c, w in enumerate(graph.words):
-            if any(w[:k] in prefixes for k in lengths):
-                member[c] = True
+        for w in self.words:
+            member[graph.cells_with_prefix(w)] = True
         self.cell_ids = np.flatnonzero(member)
         ind = np.zeros(graph.n_vertices, dtype=bool)
         ind[graph.cells[self.cell_ids].ravel()] = True

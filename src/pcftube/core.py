@@ -14,7 +14,8 @@ when it has them (``_find_symmetries``), which ``VertexGraph.symmetry_group``
 lifts to every level.
 
 Gluing is purely combinatorial: identification relations are propagated to
-every scale through a union-find, and embedding coordinates are used only to
+every scale by base-N arithmetic on cell indices, glued corners are merged by
+min-label propagation, and embedding coordinates are used only to
 cross-validate the result.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -49,28 +50,6 @@ class BudgetError(RuntimeError):
     """Requested level exceeds the configured size budget."""
 
 
-class UnionFind:
-    """Union-find with path compression over integer keys."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, k: int) -> int:
-        root = k
-        while root != self.parent[root]:
-            root = self.parent[root]
-        while k != root:
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """Contraction x -> scale * rotation @ x + translation."""
@@ -81,12 +60,6 @@ class AffineMap:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.scale * (np.asarray(pts, dtype=float) @ self.rotation.T) + self.translation
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """Composition self o other."""
-        rot = self.rotation @ other.rotation
-        trans = self.scale * (self.rotation @ other.translation) + self.translation
-        return AffineMap(self.scale * other.scale, rot, trans)
 
 
 @dataclass(frozen=True)
@@ -186,23 +159,9 @@ class SelfSimilarStructure:
     def ambient_dim(self) -> int:
         return self.boundary.shape[1]
 
-    def word_map(self, word: Sequence[int]) -> AffineMap:
-        n = self.ambient_dim
-        out = AffineMap(1.0, np.eye(n), np.zeros(n))
-        for s in word:
-            out = out.compose(self.maps[s])
-        return out
-
-    def point(self, word: Sequence[int], p: int) -> np.ndarray:
-        return self.word_map(word)(self.boundary[p])
-
     def word_resistance(self, word: Sequence[int]) -> float:
         r = self.harmonic.r
         return float(np.prod([r[s] for s in word])) if len(word) else 1.0
-
-    def word_measure(self, word: Sequence[int]) -> float:
-        mu = self.measure_weights
-        return float(np.prod([mu[s] for s in word])) if len(word) else 1.0
 
 
 def _rotation_from(entry, n: int) -> np.ndarray:
@@ -468,8 +427,20 @@ def _find_symmetries(maps, boundary, idents, D, r, mu):
     return pair(refl), None if rot is None else pair(rot)
 
 
-def enumerate_words(n_symbols: int, m: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(n_symbols), repeat=m))
+def word_products(weights: Sequence[float], m: int) -> np.ndarray:
+    """Product of weights[s] over the letters s of every level-m word, in cell
+    order (the word of cell c is the m base-N digits of c, first letter most
+    significant).
+
+    A running product over the letters, first letter first: the multiply order
+    of ``np.prod`` over the word, so entry c is ``word_resistance`` of cell c's
+    word bit for bit when ``weights`` is r.
+    """
+    weights = np.asarray(weights, dtype=float)
+    out = np.ones(1)
+    for _ in range(m):
+        out = (out[:, None] * weights).ravel()
+    return out
 
 
 @dataclass
@@ -479,6 +450,8 @@ class VertexGraph:
     ``cells[c]`` holds the vertex ids of F_w(V_0) in boundary order for the
     c-th word, ``cell_measures[c]`` its measure, and ``vertex_mass`` the
     lumped quadrature weights M(p) = sum over incident cells of mu_w / |V_0|.
+    Cell c's word is the m base-N digits of c, first letter most significant,
+    so the cells below a prefix form one contiguous block (``_prefix_block``).
     """
 
     structure: SelfSimilarStructure
@@ -489,7 +462,6 @@ class VertexGraph:
     cell_measures: np.ndarray
     vertex_mass: np.ndarray
     boundary_ids: np.ndarray
-    _word_index: dict = field(repr=False, default_factory=dict)
 
     @property
     def n_vertices(self) -> int:
@@ -499,14 +471,30 @@ class VertexGraph:
     def n_cells(self) -> int:
         return self.cells.shape[0]
 
+    def _prefix_block(self, prefix: Sequence[int]) -> slice:
+        """The cells whose word starts with ``prefix``: the block
+        [idx N^(m-k), (idx + 1) N^(m-k)) for a length-k prefix with base-N
+        value idx; empty when the prefix is longer than the level or has a
+        letter outside 0..N-1."""
+        N = self.structure.n_symbols
+        tail = self.level - len(prefix)
+        if tail < 0 or any(not 0 <= s < N for s in prefix):
+            return slice(0, 0)
+        idx = 0
+        for s in prefix:
+            idx = idx * N + int(s)
+        return slice(idx * N**tail, (idx + 1) * N**tail)
+
     def vertex_id(self, word: Sequence[int], p: int) -> int:
         """Vertex id of F_w(x_p) for any prefix word with |w| <= level."""
         word = tuple(word)
         if len(word) > self.level:
             raise ValueError("word longer than graph level")
         s = self.structure.self_symbols[p]
-        full = word + (s,) * (self.level - len(word))
-        return int(self.cells[self._word_index[full], p])
+        block = self._prefix_block(word + (s,) * (self.level - len(word)))
+        if block.start == block.stop:
+            raise ValueError(f"word {word} has a letter outside 0..{self.structure.n_symbols - 1}")
+        return int(self.cells[block.start, p])
 
     def _lift(self, symmetry, name: str) -> np.ndarray:
         """A structure symmetry (sigma, pi) on V_m as a vertex permutation
@@ -561,25 +549,36 @@ class VertexGraph:
         return mask
 
     def cells_with_prefix(self, prefix: Sequence[int]) -> np.ndarray:
-        prefix = tuple(prefix)
-        k = len(prefix)
-        return np.array([c for c, w in enumerate(self.words) if w[:k] == prefix], dtype=int)
+        block = self._prefix_block(tuple(prefix))
+        return np.arange(block.start, block.stop)
 
     def export_csv(self, outdir) -> None:
         import csv
         import os
 
         os.makedirs(outdir, exist_ok=True)
+        table = np.empty((self.n_vertices, self.coords.shape[1] + 2), dtype=object)
+        table[:, 0] = range(self.n_vertices)
+        table[:, 1:-1] = _float_reprs(self.coords)
+        table[:, -1] = _float_reprs(self.vertex_mass)
         with open(os.path.join(outdir, "vertices.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["vertex_id"] + [f"x{k}" for k in range(self.coords.shape[1])] + ["mass"])
-            for v in range(self.n_vertices):
-                writer.writerow([v] + [repr(float(c)) for c in self.coords[v]] + [repr(float(self.vertex_mass[v]))])
+            writer.writerows(table.tolist())
         with open(os.path.join(outdir, "cells.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["word"] + [f"v{k}" for k in range(self.cells.shape[1])])
-            for c, w in enumerate(self.words):
-                writer.writerow(["".join(map(str, w))] + [int(v) for v in self.cells[c]])
+            writer.writerows(["".join(map(str, w)), *ids] for w, ids in zip(self.words, self.cells.tolist()))
+
+
+def _float_reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every float in ``values``, as an object array of the same
+    shape, formatted once per distinct bit pattern: the coordinates and masses
+    of a level take few distinct values."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    uniq, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in uniq.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(values.shape)]
 
 
 def build_level(structure: SelfSimilarStructure, m: int, budget: int = DEFAULT_BUDGET) -> VertexGraph:
@@ -590,6 +589,10 @@ def build_level(structure: SelfSimilarStructure, m: int, budget: int = DEFAULT_B
     relation F_i(x_p) = F_j(x_q), every prefix u and descent depth l give the
     union (u i s_p^l, p) ~ (u j s_q^l, q), where s_p is the self-symbol of
     x_p.  Coordinates of every union are checked to agree in the embedding.
+
+    Slot (c, p) has key c |V_0| + p.  Vertex ids are dense in the order of
+    each vertex's first slot, and that slot is the smallest key of its glued
+    class, which is where min-label propagation leaves the class's label.
     """
     if m < 0:
         raise StructureError("level must be nonnegative")
@@ -601,59 +604,42 @@ def build_level(structure: SelfSimilarStructure, m: int, budget: int = DEFAULT_B
             f"level {m} needs {n_words * nB} corner slots, over the budget of {budget}"
         )
 
-    words = enumerate_words(N, m)
-    word_index = {w: c for c, w in enumerate(words)}
-
-    uf = UnionFind(n_words * nB)
-    key = lambda c, p: c * nB + p
-
-    # Cell corner coordinates, built by extending prefixes one symbol at a time.
-    corner_pts = {(): S.boundary.copy()}
+    # Corner coordinates by slot key: F_{sw}(V_0) = F_s(F_w(V_0)), and the word
+    # sw of length l + 1 is cell s N^l + w.
+    slot_pts = S.boundary
     for _ in range(m):
-        nxt = {}
-        for w, pts in corner_pts.items():
-            for s in range(N):
-                nxt[w + (s,)] = None
-        # apply maps by leading symbol: F_{(s,)+w}(V0) = F_s(F_w(V0))
-        for w in nxt:
-            nxt[w] = S.maps[w[0]](corner_pts[w[1:]])
-        corner_pts = nxt
-    coords_by_slot = np.empty((n_words, nB, S.ambient_dim))
-    for w, c in word_index.items():
-        coords_by_slot[c] = corner_pts[w]
+        slot_pts = np.concatenate([F(slot_pts) for F in S.maps])
 
+    # Glued slot pairs (a, b), relation by relation, depth by depth, prefix u
+    # ascending; s_p^tail is the repunit s_p (N^tail - 1) / (N - 1).
+    pairs_a, pairs_b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for i, p, j, q in S.identifications:
         sp, sq = S.self_symbols[p], S.self_symbols[q]
         for k in range(m):
             tail = m - 1 - k
-            suffix_a = (i,) + (sp,) * tail
-            suffix_b = (j,) + (sq,) * tail
-            for u in itertools.product(range(N), repeat=k):
-                ca = word_index[u + suffix_a]
-                cb = word_index[u + suffix_b]
-                gap = np.linalg.norm(coords_by_slot[ca, p] - coords_by_slot[cb, q])
-                if gap > GLUE_COORD_TOL:
-                    raise StructureError(
-                        f"glued pair disagrees in the embedding by {gap:.3e}"
-                    )
-                uf.union(key(ca, p), key(cb, q))
+            u = np.arange(N**k, dtype=np.int64) * N ** (tail + 1)
+            ones = (N**tail - 1) // (N - 1)
+            pairs_a.append((u + i * N**tail + sp * ones) * nB + p)
+            pairs_b.append((u + j * N**tail + sq * ones) * nB + q)
+    a, b = np.concatenate(pairs_a), np.concatenate(pairs_b)
+    gaps = np.linalg.norm(slot_pts[a] - slot_pts[b], axis=1)
+    bad = np.flatnonzero(gaps > GLUE_COORD_TOL)
+    if bad.size:
+        raise StructureError(f"glued pair disagrees in the embedding by {gaps[bad[0]]:.3e}")
 
-    # Dense ids in first-appearance order for determinism.
-    root_to_id: dict[int, int] = {}
-    cells = np.empty((n_words, nB), dtype=np.int64)
-    coord_rows = []
-    for c in range(n_words):
-        for p in range(nB):
-            root = uf.find(key(c, p))
-            vid = root_to_id.get(root)
-            if vid is None:
-                vid = len(root_to_id)
-                root_to_id[root] = vid
-                coord_rows.append(coords_by_slot[c, p])
-            cells[c, p] = vid
-    coords = np.vstack(coord_rows) if coord_rows else np.empty((0, S.ambient_dim))
+    # Min-label propagation: hook the larger label of every unequal pair onto
+    # the smaller, then jump pointers until every label is a root.  Labels only
+    # fall and stay inside their class, so each class ends on its smallest key.
+    label = np.arange(n_words * nB)
+    while not np.array_equal(la := label[a], lb := label[b]):
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(jump := label[label], label):
+            label = jump
+    is_root = label == np.arange(label.size)
+    cells = (np.cumsum(is_root) - 1)[label].reshape(n_words, nB)
+    coords = slot_pts[is_root]
 
-    cell_measures = np.array([S.word_measure(w) for w in words])
+    cell_measures = word_products(S.measure_weights, m)
     total = cell_measures.sum()
     if abs(total - 1.0) > IDENT_TOL * max(1, n_words):
         raise StructureError(f"cell measures sum to {total!r}, expected 1")
@@ -664,16 +650,14 @@ def build_level(structure: SelfSimilarStructure, m: int, budget: int = DEFAULT_B
     graph = VertexGraph(
         structure=S,
         level=m,
-        words=words,
+        words=list(itertools.product(range(N), repeat=m)),
         cells=cells,
         coords=coords,
         cell_measures=cell_measures,
         vertex_mass=vertex_mass,
         boundary_ids=np.zeros(nB, dtype=np.int64),
-        _word_index=word_index,
     )
-    boundary_ids = np.array([graph.vertex_id((), p) for p in range(nB)], dtype=np.int64)
-    graph.boundary_ids = boundary_ids
+    graph.boundary_ids = np.array([graph.vertex_id((), p) for p in range(nB)], dtype=np.int64)
     return graph
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetError, VertexGraph
+from .core import BudgetError, VertexGraph, word_products
 
 RESIDUAL_TOL = 1e-8
 # Eigenvalues within EIG_RTOL (relative) of each other are one eigenvalue of a
@@ -54,8 +54,7 @@ class EnergyForm:
 
 def _conductances(graph: VertexGraph) -> np.ndarray:
     """1 / r_w for every cell w."""
-    S = graph.structure
-    return 1.0 / np.array([S.word_resistance(w) for w in graph.words])
+    return 1.0 / word_products(graph.structure.harmonic.r, graph.level)
 
 
 def energy_matrix(graph: VertexGraph) -> EnergyForm:
@@ -457,13 +456,6 @@ def _count(eigenvalues: np.ndarray, x):
     return np.searchsorted(eigenvalues, x * (1.0 + EIG_RTOL), side="right")
 
 
-def counting_function(basis: EigenBasis, x: float) -> int:
-    """Number of eigenvalues <= x, multiplicity counted (see ``_count``)."""
-    if x < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    return int(_count(basis.eigenvalues, x))
-
-
 @dataclass
 class WeylFit:
     slope: float
@@ -475,7 +467,7 @@ class WeylFit:
 def weyl_exponent(basis: EigenBasis) -> WeylFit:
     """Least-squares slope of log N(lambda_n) against log lambda_n.
 
-    N counts every eigenvalue of lambda_n's cluster (``counting_function``),
+    N counts every eigenvalue of lambda_n's cluster (``_count``),
     so the fit depends only on the eigenvalue multiset.
 
     Only the lower part of the discrete spectrum tracks the continuum, so the

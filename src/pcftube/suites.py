@@ -27,6 +27,7 @@ from .core import (
     build_level,
     load_structure,
     scaling_constants,
+    word_products,
 )
 
 REPORT_VERSION = 1
@@ -270,10 +271,10 @@ def _core_suite(ctx: SuiteContext, r: _Runner) -> None:
         base = R[np.ix_(bid, bid)].max()
         worst = -math.inf
         step = max(1, graph.n_cells // 24)
+        r_w = word_products(S.harmonic.r, graph.level)
         for c in range(0, graph.n_cells, step):
             ids = graph.cells[c]
-            rw = S.word_resistance(graph.words[c])
-            worst = max(worst, float(R[np.ix_(ids, ids)].max() - rw * base))
+            worst = max(worst, float(R[np.ix_(ids, ids)].max() - r_w[c] * base))
         return worst, worst <= 1e-9
 
     r.run("core.resistance_contraction", "cell copies contract the resistance metric by r_w", contraction, 1e-9)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pcftube.core import TIE_RTOL
+from pcftube.core import GLUE_COORD_TOL, TIE_RTOL
 
 
 # -- unit interval classics ----------------------------------------------------
@@ -81,7 +81,7 @@ def gasket_brute_dirichlet_matrix(m: int) -> np.ndarray:
     """Combinatorial graph Laplacian of the level-m gasket, interior block.
 
     Built by coordinate subdivision and deduplication, independently of the
-    package's union-find construction.
+    package's gluing.
     """
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     cells = [corners]
@@ -101,6 +101,127 @@ def gasket_brute_dirichlet_matrix(m: int) -> np.ndarray:
     bidx = [int(np.where((uniq == np.round(c, 12)).all(axis=1))[0][0]) for c in corners]
     keep = [i for i in range(n) if i not in bidx]
     return L[np.ix_(keep, keep)]
+
+
+# -- level-m graph, one word at a time -----------------------------------------------
+
+
+class UnionFind:
+    """Union-find with path compression over integer keys; a union keeps the
+    smaller root."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, k: int) -> int:
+        root = k
+        while root != self.parent[root]:
+            root = self.parent[root]
+        while k != root:
+            self.parent[k], k = root, self.parent[k]
+        return root
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra > rb:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return ra
+
+
+def loop_build_level(S, m: int) -> dict:
+    """The glued level-m graph built word by word: a dict of tuple words, corner
+    coordinates by prefix extension, every glue relation pushed down every
+    prefix and depth into a union-find, and dense ids in first-appearance
+    order.  Raises ValueError on a glued pair that disagrees in the embedding.
+    """
+    nB, N = S.n_boundary, S.n_symbols
+    words = list(itertools.product(range(N), repeat=m))
+    word_index = {w: c for c, w in enumerate(words)}
+    uf = UnionFind(len(words) * nB)
+
+    corner_pts = {(): S.boundary.copy()}
+    for _ in range(m):
+        corner_pts = {(s,) + w: S.maps[s](pts) for s in range(N) for w, pts in corner_pts.items()}
+    coords_by_slot = np.empty((len(words), nB, S.ambient_dim))
+    for w, c in word_index.items():
+        coords_by_slot[c] = corner_pts[w]
+
+    for i, p, j, q in S.identifications:
+        sp, sq = S.self_symbols[p], S.self_symbols[q]
+        for k in range(m):
+            tail = m - 1 - k
+            for u in itertools.product(range(N), repeat=k):
+                ca = word_index[u + (i,) + (sp,) * tail]
+                cb = word_index[u + (j,) + (sq,) * tail]
+                gap = np.linalg.norm(coords_by_slot[ca, p] - coords_by_slot[cb, q])
+                if gap > GLUE_COORD_TOL:
+                    raise ValueError(f"glued pair disagrees in the embedding by {gap:.3e}")
+                uf.union(ca * nB + p, cb * nB + q)
+
+    root_to_id = {}
+    cells = np.empty((len(words), nB), dtype=np.int64)
+    coord_rows = []
+    for c in range(len(words)):
+        for p in range(nB):
+            root = uf.find(c * nB + p)
+            if root not in root_to_id:
+                root_to_id[root] = len(root_to_id)
+                coord_rows.append(coords_by_slot[c, p])
+            cells[c, p] = root_to_id[root]
+    coords = np.vstack(coord_rows)
+
+    mu = S.measure_weights
+    cell_measures = np.array([float(np.prod([mu[s] for s in w])) if w else 1.0 for w in words])
+    vertex_mass = np.zeros(coords.shape[0])
+    np.add.at(vertex_mass, cells.ravel(), np.repeat(cell_measures / nB, nB))
+    boundary_ids = np.array([cells[word_index[(S.self_symbols[p],) * m], p] for p in range(nB)])
+    return {
+        "words": words,
+        "cells": cells,
+        "coords": coords,
+        "cell_measures": cell_measures,
+        "vertex_mass": vertex_mass,
+        "boundary_ids": boundary_ids,
+    }
+
+
+def loop_export_csv(graph, outdir) -> None:
+    """``vertices.csv`` and ``cells.csv`` written one row at a time, each float
+    through ``repr``."""
+    import csv
+    import os
+
+    with open(os.path.join(outdir, "vertices.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["vertex_id"] + [f"x{k}" for k in range(graph.coords.shape[1])] + ["mass"])
+        for v in range(graph.n_vertices):
+            writer.writerow([v] + [repr(float(c)) for c in graph.coords[v]] + [repr(float(graph.vertex_mass[v]))])
+    with open(os.path.join(outdir, "cells.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["word"] + [f"v{k}" for k in range(graph.cells.shape[1])])
+        for c, w in enumerate(graph.words):
+            writer.writerow(["".join(map(str, w))] + [int(v) for v in graph.cells[c]])
+
+
+def loop_vertex_id(graph, word, p: int) -> int:
+    """Vertex id of F_w(x_p): w padded with x_p's self-symbol, looked up in a
+    dict of the graph's words."""
+    full = tuple(word) + (graph.structure.self_symbols[p],) * (graph.level - len(word))
+    return int(graph.cells[{w: c for c, w in enumerate(graph.words)}[full], p])
+
+
+def loop_cells_with_prefix(graph, prefix) -> np.ndarray:
+    prefix = tuple(prefix)
+    return np.array([c for c, w in enumerate(graph.words) if w[: len(prefix)] == prefix], dtype=int)
+
+
+def loop_boundary_cells(graph, words) -> np.ndarray:
+    """Cells below any of ``words``, by a scan of every cell's word."""
+    prefixes = {tuple(w) for w in words}
+    return np.array(
+        [c for c, w in enumerate(graph.words) if any(w[: len(u)] in prefixes for u in prefixes)], dtype=int
+    )
 
 
 # -- energy form and eigen residuals ----------------------------------------------------

@@ -19,7 +19,15 @@ from pcftube.boundary import (
 )
 from pcftube.tube import tube_sample
 
-from oracles import brute_maximal, brute_maximal_measure, brute_shifted_kernel_constant, exact_resistance
+from pcftube.core import build_level, load_structure
+
+from oracles import (
+    brute_maximal,
+    brute_maximal_measure,
+    brute_shifted_kernel_constant,
+    exact_resistance,
+    loop_boundary_cells,
+)
 
 
 # -- maximal function -----------------------------------------------------------------
@@ -267,6 +275,21 @@ def test_ball_mass_below_resolution_errors(stacks):
     x = st.graph.vertex_id((0,), 1)
     with pytest.raises(ValueError):
         ball_mass_lower(ev, st.metric, x, 1e-6, [1e-3])
+
+
+# -- boundary sets ------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("preset, levels", [("interval", (3, 6)), ("sierpinski", (2, 4)), ("vicsek", (1, 3))])
+def test_boundary_set_cells_match_word_scan(preset, levels):
+    for m in levels:
+        graph = build_level(load_structure(preset), m)
+        N = graph.structure.n_symbols
+        for words in ([], [()], [(0,)], [(N - 1, 0), (0,), (0, 1)], [(1,) * m, (0,) * (m + 1)], [(N,), (0, -1)]):
+            E = BoundarySet(graph, words)
+            expect = loop_boundary_cells(graph, words)
+            assert np.array_equal(E.cell_ids, expect), words
+            assert E.measure == float(graph.cell_measures[expect].sum())
 
 
 # -- barrier ------------------------------------------------------------------------------------

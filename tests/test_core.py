@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,10 +14,46 @@ from pcftube.core import (
     load_structure,
     scaling_constants,
     similarity_dimension,
+    word_products,
 )
 from pcftube.spectral import energy_matrix
 
-from oracles import bisect_dimension, grounded_resistance
+from oracles import (
+    bisect_dimension,
+    grounded_resistance,
+    loop_build_level,
+    loop_cells_with_prefix,
+    loop_export_csv,
+    loop_vertex_id,
+)
+
+# Sierpinski with F_0 reflected across the axis through x_0: a map whose
+# rotation part has irrational entries, and relations other than the preset's.
+REFLECTED = {
+    "preset": "sierpinski",
+    "maps": [
+        {"scale": 0.5, "translation": [0.0, 0.0], "rotation": [[0.5, math.sqrt(3.0) / 2.0], [math.sqrt(3.0) / 2.0, -0.5]]},
+        {"scale": 0.5, "translation": [0.5, 0.0]},
+        {"scale": 0.5, "translation": [0.25, math.sqrt(3.0) / 4.0]},
+    ],
+    "identifications": [[0, 2, 1, 0], [0, 1, 2, 0], [1, 2, 2, 1]],
+    "mu": [0.2, 0.3, 0.5],
+}
+# Sierpinski plus an inverted center cell F_3, glued to the corner cells only
+# through it: three cells meet at every midpoint, and gluing the two corner
+# cells onto the smaller one's slot takes a second hooking round.
+CENTER_CELL = {
+    "maps": [
+        {"scale": 0.5, "translation": [0.0, 0.0]},
+        {"scale": 0.5, "translation": [0.5, 0.0]},
+        {"scale": 0.5, "translation": [0.25, math.sqrt(3.0) / 4.0]},
+        {"scale": 0.5, "translation": [0.75, math.sqrt(3.0) / 4.0], "rotation": [[-1.0, 0.0], [0.0, -1.0]]},
+    ],
+    "boundary": [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]],
+    "identifications": [[0, 1, 3, 2], [1, 0, 3, 2], [0, 2, 3, 1], [2, 0, 3, 1], [1, 2, 3, 0], [2, 1, 3, 0]],
+    "D": [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]],
+    "r": [0.5, 0.5, 0.5, 0.5],
+}
 
 
 # -- structure loading -------------------------------------------------------------
@@ -170,6 +207,70 @@ def test_budget_guard():
 def test_negative_level_rejected():
     with pytest.raises(StructureError):
         build_level(load_structure("interval"), -1)
+
+
+@pytest.mark.parametrize(
+    "config, m",
+    [("interval", m) for m in range(9)]
+    + [("sierpinski", m) for m in range(7)]
+    + [("vicsek", m) for m in range(5)]
+    + [({"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}, m) for m in (0, 1, 4)]
+    + [(REFLECTED, m) for m in (0, 1, 4)]
+    + [(CENTER_CELL, m) for m in (1, 4)],
+)
+def test_build_level_matches_word_loop(config, m):
+    S = load_structure(config)
+    G = build_level(S, m)
+    ref = loop_build_level(S, m)
+    assert G.words == ref["words"]
+    for name in ("cells", "coords", "cell_measures", "vertex_mass", "boundary_ids"):
+        got = getattr(G, name)
+        assert got.dtype == ref[name].dtype and got.shape == ref[name].shape, name
+        assert got.tobytes() == ref[name].tobytes(), name
+
+
+def test_glue_cross_check_rejects_disagreeing_corners():
+    S = load_structure("sierpinski")
+    # F_0(x_1) is the midpoint of the bottom side; F_1(x_2) is not
+    bad = dataclasses.replace(S, identifications=((0, 1, 1, 0), (0, 2, 2, 0), (1, 2, 2, 1), (0, 1, 1, 2)))
+    assert build_level(bad, 0).n_vertices == 3  # no relation is pushed to level 0
+    for m in (1, 3):
+        with pytest.raises(ValueError) as ref:
+            loop_build_level(bad, m)
+        with pytest.raises(StructureError, match="glued pair disagrees") as err:
+            build_level(bad, m)
+        assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("config", ["interval", "sierpinski", "vicsek", {"preset": "sierpinski", "r": [0.6, 0.5, 0.4]}])
+def test_word_products_match_per_word_products(config):
+    S = load_structure(config)
+    mu = S.measure_weights
+    for m in range(6):
+        words = build_level(S, m).words
+        r_w = np.array([S.word_resistance(w) for w in words])
+        mu_w = np.array([float(np.prod([mu[s] for s in w])) if w else 1.0 for w in words])
+        assert word_products(S.harmonic.r, m).tobytes() == r_w.tobytes()
+        assert word_products(mu, m).tobytes() == mu_w.tobytes()
+
+
+@pytest.mark.parametrize("preset, levels", [("interval", (3, 6)), ("sierpinski", (2, 4)), ("vicsek", (1, 3))])
+def test_word_lookups_match_word_scans(preset, levels):
+    for m in levels:
+        G = build_level(load_structure(preset), m)
+        N, nB = G.structure.n_symbols, G.structure.n_boundary
+        for k in range(m + 2):
+            for prefix in itertools.product(range(N), repeat=k):
+                assert np.array_equal(G.cells_with_prefix(prefix), loop_cells_with_prefix(G, prefix)), prefix
+                if k <= m:
+                    for p in range(nB):
+                        assert G.vertex_id(prefix, p) == loop_vertex_id(G, prefix, p)
+        for prefix in ((N,), (0, -1), (0,) * (m + 2)):
+            assert G.cells_with_prefix(prefix).size == 0 == loop_cells_with_prefix(G, prefix).size
+        with pytest.raises(ValueError):
+            G.vertex_id((N,), 0)
+        with pytest.raises(ValueError):
+            G.vertex_id((0,) * (m + 1), 0)
 
 
 def test_vertex_id_addresses(stacks):
@@ -443,3 +544,10 @@ def test_graph_export_csv(tmp_path, stacks):
     assert len(rows) == 1 + st.graph.n_vertices
     cells = (tmp_path / "cells.csv").read_text().strip().splitlines()
     assert len(cells) == 1 + st.graph.n_cells
+    for preset, m in (("interval", 3), ("sierpinski", 5), ("vicsek", 3)):
+        graph = stacks(preset, m).graph
+        graph.export_csv(tmp_path / preset)
+        (tmp_path / "loop").mkdir(exist_ok=True)
+        loop_export_csv(graph, tmp_path / "loop")
+        for name in ("vertices.csv", "cells.csv"):
+            assert (tmp_path / preset / name).read_bytes() == (tmp_path / "loop" / name).read_bytes(), (preset, name)

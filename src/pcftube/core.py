@@ -456,7 +456,6 @@ class VertexGraph:
 
     structure: SelfSimilarStructure
     level: int
-    words: list[tuple[int, ...]]
     cells: np.ndarray
     coords: np.ndarray
     cell_measures: np.ndarray
@@ -565,10 +564,16 @@ class VertexGraph:
             writer = csv.writer(fh)
             writer.writerow(["vertex_id"] + [f"x{k}" for k in range(self.coords.shape[1])] + ["mass"])
             writer.writerows(table.tolist())
+        # Cell c's word is its m base-N digits, first letter most significant:
+        # each word of length l + 1 is a word of length l and one more letter.
+        letters = np.array([str(s) for s in range(self.structure.n_symbols)], dtype=object)
+        words = np.array([""], dtype=object)
+        for _ in range(self.level):
+            words = np.add.outer(words, letters).ravel()
         with open(os.path.join(outdir, "cells.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["word"] + [f"v{k}" for k in range(self.cells.shape[1])])
-            writer.writerows(["".join(map(str, w)), *ids] for w, ids in zip(self.words, self.cells.tolist()))
+            writer.writerows([w, *ids] for w, ids in zip(words, self.cells.tolist()))
 
 
 def _float_reprs(values: np.ndarray) -> np.ndarray:
@@ -650,7 +655,6 @@ def build_level(structure: SelfSimilarStructure, m: int, budget: int = DEFAULT_B
     graph = VertexGraph(
         structure=S,
         level=m,
-        words=list(itertools.product(range(N), repeat=m)),
         cells=cells,
         coords=coords,
         cell_measures=cell_measures,

@@ -26,6 +26,10 @@ import numpy as np
 from .core import TIE_RTOL
 from .spectral import EigenBasis, eigen_growth_constants, supnorm_ratio
 
+# Halvings after which adaptive Simpson reports no convergence: a panel of
+# 2**-48 its initial width.
+SIMPSON_DEPTH = 48
+
 
 class KernelEvaluator:
     """Kernel and Poisson-integral evaluations on one eigenbasis."""
@@ -203,12 +207,12 @@ def _adaptive_simpson(g, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def adaptive_simpson(g, a: float, b: float, tol: float, depth: int = 48) -> float:
+def adaptive_simpson(g, a: float, b: float, tol: float) -> float:
     fa, fb = g(a), g(b)
     m = 0.5 * (a + b)
     fm = g(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(g, a, b, fa, fm, fb, whole, tol, depth)
+    return _adaptive_simpson(g, a, b, fa, fm, fb, whole, tol, SIMPSON_DEPTH)
 
 
 def subordination_transform(h, t: float, tol: float = 1e-7) -> float:
@@ -243,7 +247,10 @@ def semigroup_defect(ev: KernelEvaluator, t: float, s: float, kind: str = "poiss
         raise ValueError("kind must be 'poisson' or 'heat'")
     mat = ev.poisson_matrix if kind == "poisson" else ev.heat_matrix
     # One product at a time and in place: three n x n arrays live at most.
-    comp = mat(t) @ (ev.mass[:, None] * mat(s))
+    # With s == t the kernel matrix is built once.
+    left = mat(t)
+    comp = left @ (ev.mass[:, None] * (left if s == t else mat(s)))
+    del left
     comp -= mat(t + s)
     return float(np.abs(comp, out=comp).max())
 

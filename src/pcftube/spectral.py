@@ -11,6 +11,8 @@ and the eigenvectors are re-embedded with zeros on the boundary.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -30,10 +32,11 @@ FIT_WINDOW = (0.05, 0.25)
 # Peak number of live n x n float64 arrays while one level's energy form and
 # both eigenbases are built: E, the held Dirichlet basis, the working block and
 # what eigh itself allocates (its input copy, syevd's 2 n^2 workspace and its
-# output).  Peak RSS over the pre-assembly RSS at sierpinski m = 7 (n = 3282)
-# is 3.5 such arrays with the D_3 split (blocks of at most about n/3; the peak
-# is then E, both bases and the partner gathers) and 7.2 for a structure with
-# no symmetry (one block of n), which sets the constant.
+# output).  Peak RSS over the pre-assembly RSS at sierpinski m = 7 (n = 3282),
+# with the dense E built, is 3.4 such arrays with the D_3 split (blocks of at
+# most about n/3; the peak is then E, both bases and the small blocks) and 7.2
+# for a structure with no symmetry (one block of n), which sets the constant.
+# Where nothing reads the dense E (``spectrum``) the two are 2.4 and 6.2.
 DENSE_ARRAYS = 7
 
 
@@ -43,10 +46,25 @@ def _physical_memory_bytes() -> int:
 
 @dataclass
 class EnergyForm:
-    """Positive-semidefinite form f^T E f with kernel spanned by constants."""
+    """Positive-semidefinite form f^T E f with kernel spanned by constants.
+
+    ``stencil`` holds (rows, cols, values), the entries of E that cells can
+    make nonzero (the corner pairs (p, q) of every cell with D[p, q] or
+    D[q, p] nonzero) in row-major order; E is zero off it.  The dense
+    ``matrix`` is scattered from the stencil on first use: the eigensolve
+    reads only the stencil.
+    """
 
     graph: VertexGraph
-    matrix: np.ndarray
+    stencil: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        rows, cols, values = self.stencil
+        n = self.graph.n_vertices
+        E = np.zeros((n, n))
+        E[rows, cols] = values
+        return E
 
     def energy(self, f: np.ndarray) -> float:
         return float(f @ self.matrix @ f)
@@ -60,9 +78,9 @@ def _conductances(graph: VertexGraph) -> np.ndarray:
 def energy_matrix(graph: VertexGraph) -> EnergyForm:
     """Assemble E = sum_w (1/r_w) * (-D) lifted onto cell w's vertices.
 
-    Raises BudgetError, before allocating, when the dense spectral working
-    set of the level (``DENSE_ARRAYS`` n x n float64 arrays) exceeds physical
-    memory.
+    The cell terms are summed on the stencil (``EnergyForm.stencil``).  Raises
+    BudgetError, before allocating, when the dense spectral working set of the
+    level (``DENSE_ARRAYS`` n x n float64 arrays) exceeds physical memory.
     """
     n = graph.n_vertices
     need = DENSE_ARRAYS * 8 * n * n
@@ -72,27 +90,22 @@ def energy_matrix(graph: VertexGraph) -> EnergyForm:
             f"{n} vertices need about {need} bytes of dense spectral arrays "
             f"({DENSE_ARRAYS} x {n} x {n} float64), over the {have} bytes of physical memory"
         )
-    block = -np.asarray(graph.structure.harmonic.D, dtype=float)
-    inv_rw = _conductances(graph)
+    D = np.asarray(graph.structure.harmonic.D, dtype=float)
+    p, q = np.nonzero((D != 0.0) | (D.T != 0.0))
     cells = graph.cells
-    # bincount accumulates in cell order, so E is bit for bit the cell-by-cell sum
-    flat = (cells[:, :, None] * n + cells[:, None, :]).ravel()
-    weights = (inv_rw[:, None, None] * block).ravel()
-    E = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
-    E += E.T
-    E *= 0.5
-    return EnergyForm(graph=graph, matrix=E)
-
-
-def _stencil(graph: VertexGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column ids (i, j) of the entries of E that cells can make
-    nonzero, in row-major order: the corner pairs (p, q) of every cell with
-    D[p, q] != 0."""
-    p, q = np.nonzero(graph.structure.harmonic.D)
-    n = graph.n_vertices
-    key = np.sort((graph.cells[:, p] * n + graph.cells[:, q]).ravel())
-    key = key[np.diff(key, prepend=-1) != 0]
-    return key // n, key % n
+    key = (cells[:, p] * n + cells[:, q]).ravel()
+    weights = (_conductances(graph)[:, None] * -D[p, q]).ravel()
+    # A stable sort keeps each key's terms in cell order, and bincount adds
+    # them in that order, so every entry is bit for bit the cell-by-cell sum.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.diff(key, prepend=-1) != 0
+    values = np.bincount(np.cumsum(first) - 1, weights=weights[order])
+    key = key[first]
+    rows, cols = key // n, key % n
+    # the pattern is symmetric: every (i, j) has its mate (j, i)
+    values = (values + values[np.searchsorted(key, cols * n + rows)]) * 0.5
+    return EnergyForm(graph=graph, stencil=(rows, cols, values))
 
 
 def harmonic_extension(form: EnergyForm, boundary_values: np.ndarray) -> np.ndarray:
@@ -147,13 +160,14 @@ class EigenBasis:
         idx = np.arange(lo, min(hi, self.n_modes))
         return idx[self.eigenvalues[idx] > 0.0]
 
-    def residuals(self, energy: np.ndarray) -> np.ndarray:
+    def residuals(self, form: EnergyForm) -> np.ndarray:
         """Rowwise max of |E phi - lambda M phi| over the solved rows.
 
         Dirichlet pairs solve the pencil on interior rows only; boundary rows
         carry the (generally nonzero) normal derivative and are excluded.
-        E phi is summed over each row's nonzeros, for blocks of about 2**17
-        entries of the result, so no n x n product is formed.
+        E phi is summed over each row's entries of ``form.stencil``, for
+        blocks of about 2**17 entries of the result, so no n x n product is
+        formed.
         """
         V = self.vectors
         n, k = V.shape
@@ -161,15 +175,15 @@ class EigenBasis:
             rows = np.flatnonzero(self.graph.interior_mask())
         else:
             rows = np.arange(n)
-        # Padded neighbour table: row i's nonzero columns nbr[i] with weights
+        # Padded neighbour table: row i's stencil columns nbr[i] with weights
         # w[i], padded by column 0 at weight 0.
-        i, j = _stencil(self.graph)
+        i, j, values = form.stencil
         counts = np.bincount(i, minlength=n)
         slot = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
         nbr = np.zeros((n, counts.max()), dtype=np.intp)
         w = np.zeros(nbr.shape)
         nbr[i, slot] = j
-        w[i, slot] = energy[i, j]
+        w[i, slot] = values
         out = np.zeros(k)
         step = max(1, 2**17 // k)
         for start in range(0, rows.size, step):
@@ -218,16 +232,19 @@ def _solve_block(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _anchor_signs(phi: np.ndarray) -> np.ndarray:
-    """Sign of each column's first entry of largest magnitude (+1 for a zero
-    column), swept over blocks of about 2**17 entries, so no n x n temporary
-    of |phi| is formed."""
+def _anchor_signs(phi: np.ndarray, m_half: np.ndarray) -> np.ndarray:
+    """Divide row p of phi by m_half[p] in place and return the sign of each
+    column's first entry of largest magnitude (+1 for a zero column), in one
+    sweep over blocks of about 2**17 entries, so no n x n temporary of |phi|
+    is formed."""
     n, k = phi.shape
     best = np.full(k, -1.0)
     anchor = np.zeros(k, dtype=np.intp)
     step = max(1, 2**17 // max(k, 1))
     for start in range(0, n, step):
-        block = np.abs(phi[start : start + step])
+        q = slice(start, start + step)
+        phi[q] /= m_half[q, None]
+        block = np.abs(phi[q])
         top = block.max(axis=0)
         new = np.flatnonzero(top > best)
         anchor[new] = start + block[:, new].argmax(axis=0)
@@ -264,15 +281,32 @@ def _orbit_types(group: np.ndarray, keep: np.ndarray, k: int):
     return reps, types
 
 
-def _scaled(E: np.ndarray, m_half: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A[rows, cols] = E[rows, cols] / (m_half[rows] m_half[cols])."""
-    B = E[np.ix_(rows, cols)]
-    B /= m_half[rows, None]
-    B /= m_half[None, cols]
-    return B
+def _hat(form: EnergyForm, m_half: np.ndarray, group: np.ndarray, reps: np.ndarray, types) -> list[dict]:
+    """The gathers A[reps, f reps], f running over the group rows, as lists of
+    nonzeros split by orbit type: hat[f][t, t2] = (a, b, values) holds the
+    entries A[reps[sl][a], f reps[sl2][b]] for the types sl = types[t][0] and
+    sl2 = types[t2][0], with A = M^(-1/2) E M^(-1/2) read off the stencil.
+    """
+    rows, cols, values = form.stencil
+    pos = np.full(form.graph.n_vertices, -1, dtype=np.intp)
+    pos[reps] = np.arange(reps.size)
+    # the types' slices tile reps in order
+    kind = np.repeat(np.arange(len(types)), [sl.stop - sl.start for sl, *_ in types])
+    scaled = values / m_half[rows] / m_half[cols]
+    hat = []
+    for row in group:
+        a, b = pos[rows], pos[np.argsort(row)[cols]]
+        on = (a >= 0) & (b >= 0)
+        a, b, v = a[on], b[on], scaled[on]
+        entries = {}
+        for (t, (sl, *_)), (t2, (sl2, *_)) in itertools.product(enumerate(types), repeat=2):
+            sel = (kind[a] == t) & (kind[b] == t2)
+            entries[t, t2] = (a[sel] - sl.start, b[sel] - sl2.start, v[sel])
+        hat.append(entries)
+    return hat
 
 
-def _irrep_block(rho: np.ndarray, parity: float, types, hat: list[np.ndarray]):
+def _irrep_block(rho: np.ndarray, parity: float, types, hat: list[dict]):
     """The block of A on the first-row component of rho, and its layout.
 
     For each orbit type with H-fixed vectors in rho, b is an orthonormal basis
@@ -282,7 +316,7 @@ def _irrep_block(rho: np.ndarray, parity: float, types, hat: list[np.ndarray]):
     """
     d = rho.shape[1]
     rows, size = [], 0
-    for sl, fixed, slots, mirror in types:
+    for t, (sl, fixed, slots, mirror) in enumerate(types):
         U, sv, _ = np.linalg.svd(rho[fixed].mean(axis=0))
         b = U[:, sv > 0.5]
         if b.shape[1] == 0:
@@ -290,19 +324,22 @@ def _irrep_block(rho: np.ndarray, parity: float, types, hat: list[np.ndarray]):
         values = (rho[slots] @ b)[:, 0] * math.sqrt(d / slots.size)
         # averaged with the s-image: every mode is bitwise s-even or s-odd
         values = (values + parity * values[mirror]) * 0.5
-        rows.append((sl, fixed, b, slots, values, size))
+        rows.append((t, sl, fixed, b, slots, values, size))
         size += b.shape[1] * (sl.stop - sl.start)
     block = np.zeros((size, size))
-    for sl, fixed, b, _, _, o in rows:
+    for t, sl, fixed, b, _, _, o in rows:
         R = sl.stop - sl.start
-        for sl2, fixed2, b2, _, _, o2 in rows:
+        for t2, sl2, fixed2, b2, _, _, o2 in rows:
             R2 = sl2.stop - sl2.start
             coef = b.T @ rho @ b2 * math.sqrt(1.0 / (fixed.size * fixed2.size))
             for i, i2 in np.ndindex(coef.shape[1:]):
                 sub = block[o + i * R : o + (i + 1) * R, o2 + i2 * R2 : o2 + (i2 + 1) * R2]
+                # a COO scatter adds what the dense sum adds: the entries off
+                # the stencil would only add zeros
                 for f in np.flatnonzero(coef[:, i, i2]):
-                    sub += coef[f, i, i2] * hat[f][sl, sl2]
-    return block, [(sl, slots, values, o) for sl, _, _, slots, values, o in rows]
+                    a, a2, v = hat[f][t, t2]
+                    sub[a, a2] += coef[f, i, i2] * v
+    return block, [(sl, slots, values, o) for _, sl, _, _, slots, values, o in rows]
 
 
 def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
@@ -350,8 +387,8 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     m_half = np.sqrt(mass)
     reps, types = _orbit_types(group, keep, k)
 
-    # The gathers A[reps, f reps], shared by every block: about n^2 / |G| entries.
-    hat = [_scaled(form.matrix, m_half, reps, row[reps]) for row in group]
+    # The gathers A[reps, f reps], shared by every block, on the stencil.
+    hat = _hat(form, m_half, group, reps, types)
     blocks, layouts = [], []
     for rho, parity in zip(irreps, parities):
         block, layout = _irrep_block(rho, parity, types, hat)
@@ -366,45 +403,48 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     sets = [vals for vals, _ in solved] + [solved[i][0] for i in partners]
     set_parity = np.array(parities + [-1.0] * len(partners))
     vals = np.concatenate(sets)
+    bounds = np.cumsum([0] + [v.size for v in sets])
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
-    column = np.empty(vals.size, dtype=np.intp)
-    column[order] = np.arange(vals.size)
-    bounds = np.cumsum([0] + [v.size for v in sets])
-    columns = [column[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     # Solver noise scales with the top of the spectrum; true kernel modes sit
     # many orders below any genuine eigenvalue.
     vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
     if vals[0] < 0.0:
         raise RuntimeError(f"negative eigenvalue {vals[0]!r} from a PSD pencil")
 
-    # Back to vertex coordinates, with zero rows off the solved vertices.  Every
+    # Back to vertex coordinates in set layout, set t in the columns
+    # bounds[t]:bounds[t + 1], with zero rows off the solved vertices.  Every
     # slot applies the same operations to its values, so mirror slots agree
     # bit for bit up to the sign.
-    phi = np.zeros((graph.n_vertices, vals.size))
-    for cols, (_, Y), layout in zip(columns, solved, layouts):
+    n = graph.n_vertices
+    phi = np.zeros((n, vals.size))
+    for lo, hi, (_, Y), layout in zip(bounds, bounds[1:], solved, layouts):
         for sl, slots, values, o in layout:
             R = sl.stop - sl.start
             for g, v in zip(slots, values):
                 X = v[0] * Y[o : o + R]
                 for i in range(1, v.size):
                     X += v[i] * Y[o + i * R : o + (i + 1) * R]
-                phi[group[g, reps[sl]][:, None], cols] = X
+                phi[group[g, reps[sl]], lo:hi] = X
     del solved
-    # (P_r v)(p) = v(r^-1 p), in row blocks of about 2**17 entries
+    # (P_r v)(p) = v(r^-1 p); every n x n pass runs in row blocks of about
+    # 2**17 entries
     rot, rot_inv = group[1 % k], group[k - 1]
     step = max(1, 2**17 // vals.size)
+    strips = [slice(start, start + step) for start in range(0, n, step)]
     for i, j in enumerate(partners):
-        even, odd = columns[j], columns[len(irreps) + i]
+        even = slice(bounds[j], bounds[j + 1])
+        odd = slice(bounds[len(irreps) + i], bounds[len(irreps) + i + 1])
         scale = 0.5 / irreps[j][1, 1, 0]  # 1 / (2 sin theta_j)
-        for start in range(0, graph.n_vertices, step):
-            q = slice(start, start + step)
-            X = phi[rot_inv[q][:, None], even]
-            X -= phi[rot[q][:, None], even]
+        for q in strips:
+            X = phi[rot_inv[q], even]
+            X -= phi[rot[q], even]
             X *= scale
             phi[q, odd] = X
-    phi /= m_half[:, None]
-    phi *= _anchor_signs(phi)[None, :]
+    signs = _anchor_signs(phi, m_half)[order]
+    # columns into ascending eigenvalue order, row block by row block
+    for q in strips:
+        np.multiply(phi[q][:, order], signs, out=phi[q])
 
     sizes = np.array([v.size for v in sets])
     basis = EigenBasis(
@@ -417,7 +457,7 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
         irreps=tuple(int(v) for v in sizes[: len(irreps)]),
     )
 
-    resid = basis.residuals(form.matrix)
+    resid = basis.residuals(form)
     bound = RESIDUAL_TOL * (1.0 + vals)
     if np.any(resid > bound):
         worst = int(np.argmax(resid - bound))

@@ -177,13 +177,17 @@ def loop_build_level(S, m: int) -> dict:
     np.add.at(vertex_mass, cells.ravel(), np.repeat(cell_measures / nB, nB))
     boundary_ids = np.array([cells[word_index[(S.self_symbols[p],) * m], p] for p in range(nB)])
     return {
-        "words": words,
         "cells": cells,
         "coords": coords,
         "cell_measures": cell_measures,
         "vertex_mass": vertex_mass,
         "boundary_ids": boundary_ids,
     }
+
+
+def cell_words(graph) -> list[tuple[int, ...]]:
+    """Every cell's word in cell order: all words of length m, lexicographic."""
+    return list(itertools.product(range(graph.structure.n_symbols), repeat=graph.level))
 
 
 def loop_export_csv(graph, outdir) -> None:
@@ -200,7 +204,7 @@ def loop_export_csv(graph, outdir) -> None:
     with open(os.path.join(outdir, "cells.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["word"] + [f"v{k}" for k in range(graph.cells.shape[1])])
-        for c, w in enumerate(graph.words):
+        for c, w in enumerate(cell_words(graph)):
             writer.writerow(["".join(map(str, w))] + [int(v) for v in graph.cells[c]])
 
 
@@ -208,19 +212,19 @@ def loop_vertex_id(graph, word, p: int) -> int:
     """Vertex id of F_w(x_p): w padded with x_p's self-symbol, looked up in a
     dict of the graph's words."""
     full = tuple(word) + (graph.structure.self_symbols[p],) * (graph.level - len(word))
-    return int(graph.cells[{w: c for c, w in enumerate(graph.words)}[full], p])
+    return int(graph.cells[{w: c for c, w in enumerate(cell_words(graph))}[full], p])
 
 
 def loop_cells_with_prefix(graph, prefix) -> np.ndarray:
     prefix = tuple(prefix)
-    return np.array([c for c, w in enumerate(graph.words) if w[: len(prefix)] == prefix], dtype=int)
+    return np.array([c for c, w in enumerate(cell_words(graph)) if w[: len(prefix)] == prefix], dtype=int)
 
 
 def loop_boundary_cells(graph, words) -> np.ndarray:
     """Cells below any of ``words``, by a scan of every cell's word."""
     prefixes = {tuple(w) for w in words}
     return np.array(
-        [c for c, w in enumerate(graph.words) if any(w[: len(u)] in prefixes for u in prefixes)], dtype=int
+        [c for c, w in enumerate(cell_words(graph)) if any(w[: len(u)] in prefixes for u in prefixes)], dtype=int
     )
 
 
@@ -231,12 +235,28 @@ def loop_energy_matrix(graph) -> np.ndarray:
     """E assembled one cell at a time: (1/r_w) * (-D) added onto its corner ids."""
     S = graph.structure
     block = -np.asarray(S.harmonic.D, dtype=float)
-    inv_rw = 1.0 / np.array([S.word_resistance(w) for w in graph.words])
+    inv_rw = 1.0 / np.array([S.word_resistance(w) for w in cell_words(graph)])
     E = np.zeros((graph.n_vertices, graph.n_vertices))
     for c in range(graph.n_cells):
         ids = graph.cells[c]
         E[np.ix_(ids, ids)] += inv_rw[c] * block
     return 0.5 * (E + E.T)
+
+
+def bincount_energy_matrix(graph) -> np.ndarray:
+    """E from one dense bincount over all n^2 corner-pair keys of every cell,
+    in cell order, symmetrized with its transpose."""
+    S = graph.structure
+    n = graph.n_vertices
+    block = -np.asarray(S.harmonic.D, dtype=float)
+    inv_rw = 1.0 / np.array([S.word_resistance(w) for w in cell_words(graph)])
+    cells = graph.cells
+    flat = (cells[:, :, None] * n + cells[:, None, :]).ravel()
+    weights = (inv_rw[:, None, None] * block).ravel()
+    E = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+    E += E.T
+    E *= 0.5
+    return E
 
 
 def dense_residuals(basis, E: np.ndarray) -> np.ndarray:
@@ -308,7 +328,7 @@ def exact_resistance(graph) -> np.ndarray:
     D = [[Fraction(float(v)).limit_denominator(10**6) for v in row] for row in np.asarray(S.harmonic.D)]
     r = [Fraction(float(v)).limit_denominator(10**6) for v in S.harmonic.r]
     E = [[Fraction(0)] * n for _ in range(n)]
-    for word, ids in zip(graph.words, graph.cells.tolist()):
+    for word, ids in zip(cell_words(graph), graph.cells.tolist()):
         conductance = Fraction(1)
         for s in word:
             conductance /= r[s]

@@ -20,6 +20,7 @@ from pcftube.spectral import energy_matrix
 
 from oracles import (
     bisect_dimension,
+    cell_words,
     grounded_resistance,
     loop_build_level,
     loop_cells_with_prefix,
@@ -162,7 +163,7 @@ def test_level_zero_is_boundary_only():
     for preset in ("interval", "sierpinski", "vicsek"):
         S = load_structure(preset)
         G = build_level(S, 0)
-        assert G.n_cells == 1 and G.words == [()]
+        assert G.n_cells == 1
         assert G.n_vertices == S.n_boundary
         assert abs(G.cell_measures[0] - 1.0) < 1e-15
         assert abs(S.word_resistance(()) - 1.0) == 0.0
@@ -222,7 +223,6 @@ def test_build_level_matches_word_loop(config, m):
     S = load_structure(config)
     G = build_level(S, m)
     ref = loop_build_level(S, m)
-    assert G.words == ref["words"]
     for name in ("cells", "coords", "cell_measures", "vertex_mass", "boundary_ids"):
         got = getattr(G, name)
         assert got.dtype == ref[name].dtype and got.shape == ref[name].shape, name
@@ -247,7 +247,7 @@ def test_word_products_match_per_word_products(config):
     S = load_structure(config)
     mu = S.measure_weights
     for m in range(6):
-        words = build_level(S, m).words
+        words = cell_words(build_level(S, m))
         r_w = np.array([S.word_resistance(w) for w in words])
         mu_w = np.array([float(np.prod([mu[s] for s in w])) if w else 1.0 for w in words])
         assert word_products(S.harmonic.r, m).tobytes() == r_w.tobytes()
@@ -452,7 +452,7 @@ def test_resistance_contraction_per_cell(stacks):
         base = R[np.ix_(bid, bid)].max()
         for c in range(0, st.graph.n_cells, max(1, st.graph.n_cells // 16)):
             ids = st.graph.cells[c]
-            rw = st.structure.word_resistance(st.graph.words[c])
+            rw = st.structure.word_resistance(cell_words(st.graph)[c])
             assert R[np.ix_(ids, ids)].max() <= rw * base + 1e-9
 
 
@@ -544,10 +544,10 @@ def test_graph_export_csv(tmp_path, stacks):
     assert len(rows) == 1 + st.graph.n_vertices
     cells = (tmp_path / "cells.csv").read_text().strip().splitlines()
     assert len(cells) == 1 + st.graph.n_cells
-    for preset, m in (("interval", 3), ("sierpinski", 5), ("vicsek", 3)):
+    for preset, m in (("interval", 3), ("sierpinski", 0), ("sierpinski", 5), ("vicsek", 3)):
         graph = stacks(preset, m).graph
-        graph.export_csv(tmp_path / preset)
+        graph.export_csv(tmp_path / f"{preset}{m}")
         (tmp_path / "loop").mkdir(exist_ok=True)
         loop_export_csv(graph, tmp_path / "loop")
         for name in ("vertices.csv", "cells.csv"):
-            assert (tmp_path / preset / name).read_bytes() == (tmp_path / "loop" / name).read_bytes(), (preset, name)
+            assert (tmp_path / f"{preset}{m}" / name).read_bytes() == (tmp_path / "loop" / name).read_bytes(), (preset, m, name)

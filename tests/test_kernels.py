@@ -281,6 +281,18 @@ def test_semigroup_defects(stacks):
             assert semigroup_defect(ev, 0.2, 0.2, "heat") <= 1e-6
 
 
+def test_semigroup_defect_at_equal_times_is_the_two_matrix_product(stacks):
+    # t == s builds the kernel matrix once; the value is the product of two builds
+    for bc in ("dirichlet", "neumann"):
+        ev = stacks("sierpinski", 5).evaluator(bc)
+        for kind, mat in (("poisson", ev.poisson_matrix), ("heat", ev.heat_matrix)):
+            comp = mat(0.2) @ (ev.mass[:, None] * mat(0.2)) - mat(0.4)
+            assert semigroup_defect(ev, 0.2, 0.2, kind) == float(np.abs(comp).max())
+    ev = stacks("sierpinski", 5).evaluator("neumann")
+    comp = ev.heat_matrix(0.1) @ (ev.mass[:, None] * ev.heat_matrix(0.3)) - ev.heat_matrix(0.4)
+    assert semigroup_defect(ev, 0.1, 0.3, "heat") == float(np.abs(comp).max())
+
+
 def test_semigroup_long_time_neumann(stacks):
     ev = stacks("interval", 7).evaluator("neumann")
     assert semigroup_defect(ev, 6.0, 6.0, "poisson") <= 1e-8

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pcftube.spectral import (
 
 from oracles import (
     argmax_signs,
+    bincount_energy_matrix,
     decimation_branch,
     dense_residuals,
     full_eigh,
@@ -30,6 +32,8 @@ from oracles import (
     interval_dirichlet_lambda,
     loop_energy_matrix,
 )
+
+from test_core import CENTER_CELL, REFLECTED
 
 SMALL_STACKS = (("interval", 8), ("sierpinski", 5), ("vicsek", 3))
 
@@ -52,6 +56,43 @@ def test_energy_matrix_matches_cell_loop(stacks):
     for preset, m in SMALL_STACKS:
         st = stacks(preset, m)
         assert np.array_equal(st.form.matrix, loop_energy_matrix(st.graph))
+
+
+@pytest.mark.parametrize(
+    "config, m",
+    [("interval", m) for m in (0, 1, 8)]
+    + [("sierpinski", m) for m in (0, 1, 5, 6)]
+    + [("vicsek", m) for m in (1, 4)]
+    + [({"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}, 4), ({"preset": "sierpinski", "r": [0.6, 0.5, 0.4]}, 4)]
+    + [(REFLECTED, 4), (CENTER_CELL, 3)],
+)
+def test_energy_matrix_matches_dense_bincount(config, m):
+    G = build_level(load_structure(config), m)
+    E = energy_matrix(G).matrix
+    ref = bincount_energy_matrix(G)
+    assert E.dtype == ref.dtype and E.tobytes() == ref.tobytes()
+
+
+def test_energy_assembly_peak_is_one_dense_array():
+    G = build_level(load_structure("sierpinski"), 6)
+    n = G.n_vertices
+    tracemalloc.start()
+    try:
+        E = energy_matrix(G).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert E.shape == (n, n)
+    # a dense bincount over all n^2 keys plus the E.T temporary is two n x n arrays
+    assert peak < 1.25 * 8 * n * n
+
+
+def test_eigensystem_reads_only_the_stencil():
+    form = energy_matrix(build_level(load_structure("sierpinski"), 4))
+    for bc in ("dirichlet", "neumann"):
+        eigensystem(form, bc)
+    # the dense matrix is a cached property, built only on first use
+    assert "matrix" not in vars(form)
 
 
 def test_dense_budget_rejects_before_allocating(monkeypatch):
@@ -128,7 +169,7 @@ def test_orthonormality_and_residuals(stacks):
         for bc in ("dirichlet", "neumann"):
             b = st.basis(bc)
             assert b.gram_deviation() <= 1e-8
-            resid = b.residuals(st.form.matrix)
+            resid = b.residuals(st.form)
             assert np.all(resid <= 1e-8 * (1.0 + b.eigenvalues))
             assert b.max_residual == float((resid / (1.0 + b.eigenvalues)).max())
 
@@ -139,7 +180,7 @@ def test_sparse_residuals_match_dense(stacks):
         for bc in ("dirichlet", "neumann"):
             b = st.basis(bc)
             dense = dense_residuals(b, st.form.matrix)
-            assert np.abs(b.residuals(st.form.matrix) - dense).max() <= 1e-12
+            assert np.abs(b.residuals(st.form) - dense).max() <= 1e-12
 
 
 def test_residuals_catch_perturbed_pair(stacks):
@@ -149,7 +190,7 @@ def test_residuals_catch_perturbed_pair(stacks):
         bad = dataclasses.replace(b, vectors=b.vectors.copy())
         k, p = 5, int(np.flatnonzero(st.graph.interior_mask())[17])
         bad.vectors[p, k] += 1e-6
-        resid = bad.residuals(st.form.matrix)
+        resid = bad.residuals(st.form)
         assert resid[k] > 1e-8 * (1.0 + b.eigenvalues[k])
         others = np.delete(np.arange(b.n_modes), k)
         assert np.all(resid[others] <= 1e-8 * (1.0 + b.eigenvalues[others]))
@@ -163,7 +204,7 @@ def test_residuals_skip_dirichlet_boundary_rows(stacks):
     # boundary rows carry the normal derivative, far above the tolerance
     boundary = np.abs(E[bid] @ b.vectors).max(axis=0)
     assert boundary.max() > 1.0
-    assert np.all(b.residuals(E) <= 1e-8 * (1.0 + b.eigenvalues))
+    assert np.all(b.residuals(st.form) <= 1e-8 * (1.0 + b.eigenvalues))
 
 
 def test_eigensystem_leaves_form_untouched():
@@ -299,15 +340,25 @@ def test_anchor_signs_match_whole_array_argmax(stacks, preset, m):
         # random signs; s-odd modes tie +-max between mirror vertices
         W = V * rng.choice([-1.0, 1.0], V.shape[1])
         W[:, 3] = 0.0
-        assert np.array_equal(spectral._anchor_signs(W), argmax_signs(W))
+        m_half = np.sqrt(stacks(preset, m).graph.vertex_mass)
+        X = W * m_half[:, None]
+        signs = spectral._anchor_signs(X, m_half)
+        assert np.array_equal(X, (W * m_half[:, None]) / m_half[:, None])
+        assert np.array_equal(signs, argmax_signs(X))
 
 
-@pytest.mark.parametrize("config, m", list(SMALL_STACKS) + [(ASYMMETRIC, 4)])
+@pytest.mark.parametrize("config, m", list(SMALL_STACKS) + [(ASYMMETRIC, 4), (CENTER_CELL, 3)])
 def test_residual_stencil_is_the_nonzero_pattern_of_E(config, m):
     G = build_level(load_structure(config), m)
-    i, j = spectral._stencil(G)
-    a, b = np.nonzero(energy_matrix(G).matrix)
-    assert np.array_equal(i, a) and np.array_equal(j, b)
+    rows, cols, values = energy_matrix(G).stencil
+    key = rows * G.n_vertices + cols
+    assert np.all(np.diff(key) > 0)  # row-major, each entry once
+    E = bincount_energy_matrix(G)
+    assert np.array_equal(values, E[rows, cols])
+    # the stencil covers every nonzero of E: E is zero off it
+    off = np.ones(E.shape, dtype=bool)
+    off[rows, cols] = False
+    assert not np.any(E[off])
 
 
 def test_interlacing(stacks):

@@ -1,10 +1,11 @@
 """Level-m energy forms and Dirichlet/Neumann eigenbases.
 
 The quadratic form is assembled cell by cell: each word w contributes the
-boundary form -D scaled by 1/r_w onto its corner vertex ids.  Eigenpairs of
-E phi = lambda M phi (M the diagonal lumped mass) are obtained by
-symmetrizing with M^(-1/2) and running a dense symmetric solver on one block
-per irreducible representation of the structure's dihedral symmetry group;
+boundary form -D scaled by 1/r_w onto its corner vertex ids, and E is kept
+only as its stencil (``EnergyForm``).  Eigenpairs of E phi = lambda M phi (M
+the diagonal lumped mass) are obtained by symmetrizing with M^(-1/2) and
+running a dense symmetric solver on one block per irreducible representation
+of the structure's dihedral symmetry group, the only n x n arrays built here;
 for the Dirichlet condition the boundary rows and columns are removed first
 and the eigenvectors are re-embedded with zeros on the boundary.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetError, VertexGraph, word_products
+from .core import BudgetError, VertexGraph, build_level, word_products
 
 RESIDUAL_TOL = 1e-8
 # Eigenvalues within EIG_RTOL (relative) of each other are one eigenvalue of a
@@ -30,13 +31,12 @@ EIG_RTOL = 1e-9
 # eigenvalues track the continuum: the Weyl and growth fits read only it.
 FIT_WINDOW = (0.05, 0.25)
 # Peak number of live n x n float64 arrays while one level's energy form and
-# both eigenbases are built: E, the held Dirichlet basis, the working block and
+# both eigenbases are built: the held Dirichlet basis, the working block and
 # what eigh itself allocates (its input copy, syevd's 2 n^2 workspace and its
-# output).  Peak RSS over the pre-assembly RSS at sierpinski m = 7 (n = 3282),
-# with the dense E built, is 3.4 such arrays with the D_3 split (blocks of at
-# most about n/3; the peak is then E, both bases and the small blocks) and 7.2
-# for a structure with no symmetry (one block of n), which sets the constant.
-# Where nothing reads the dense E (``spectrum``) the two are 2.4 and 6.2.
+# output); E is never dense.  Peak RSS over the pre-assembly RSS at sierpinski
+# m = 7 (n = 3282) is 2.4 such arrays with the D_3 split (blocks of at most
+# about n/3) and 6.2 for a structure with no symmetry (one block of n), which
+# sets the constant.
 DENSE_ARRAYS = 7
 
 
@@ -50,24 +50,34 @@ class EnergyForm:
 
     ``stencil`` holds (rows, cols, values), the entries of E that cells can
     make nonzero (the corner pairs (p, q) of every cell with D[p, q] or
-    D[q, p] nonzero) in row-major order; E is zero off it.  The dense
-    ``matrix`` is scattered from the stencil on first use: the eigensolve
-    reads only the stencil.
+    D[q, p] nonzero) in row-major order; E is zero off it and is never formed
+    as a dense array.
     """
 
     graph: VertexGraph
     stencil: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        rows, cols, values = self.stencil
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row i's stencil columns nbr[i] and weights w[i], padded by column 0 at weight 0."""
+        i, j, values = self.stencil
         n = self.graph.n_vertices
-        E = np.zeros((n, n))
-        E[rows, cols] = values
-        return E
+        counts = np.bincount(i, minlength=n)
+        slot = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        nbr = np.zeros((n, counts.max()), dtype=np.intp)
+        w = np.zeros(nbr.shape)
+        nbr[i, slot] = j
+        w[i, slot] = values
+        return nbr, w
+
+    def apply(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """(E X)[rows] for X with one row per vertex, summed on the stencil."""
+        nbr, w = self._neighbours
+        return np.einsum("ik,ik...->i...", w[rows], X[nbr[rows]])
 
     def energy(self, f: np.ndarray) -> float:
-        return float(f @ self.matrix @ f)
+        """f^T E f as the edge sum of ``_edge_energy``, in long double."""
+        return float(_edge_energy(self.graph, np.asarray(f, dtype=np.longdouble)))
 
 
 def _conductances(graph: VertexGraph) -> np.ndarray:
@@ -108,17 +118,37 @@ def energy_matrix(graph: VertexGraph) -> EnergyForm:
     return EnergyForm(graph=graph, stencil=(rows, cols, values))
 
 
-def harmonic_extension(form: EnergyForm, boundary_values: np.ndarray) -> np.ndarray:
-    """Energy-minimizing extension of the given boundary values to V_m."""
-    graph = form.graph
-    bid = graph.boundary_ids
-    interior = np.flatnonzero(graph.interior_mask())
-    h = np.zeros(graph.n_vertices)
-    h[bid] = boundary_values
-    if interior.size:
-        E = form.matrix
-        rhs = -E[np.ix_(interior, bid)] @ np.asarray(boundary_values, dtype=float)
-        h[interior] = np.linalg.solve(E[np.ix_(interior, interior)], rhs)
+def _edge_energy(graph: VertexGraph, f: np.ndarray):
+    """f^T E f as sum_w (1 / r_w) sum_(p < q) D[p, q] (f(w_p) - f(w_q))^2 over
+    cells w with corners w_p (D has zero row sums), in the dtype of f: with
+    conductances D[p, q] >= 0 a sum of nonnegative terms, free of cancellation."""
+    p, q = np.triu_indices(graph.structure.n_boundary, 1)
+    D = np.asarray(graph.structure.harmonic.D, dtype=float)
+    diff = f[graph.cells[:, p]] - f[graph.cells[:, q]]
+    return np.sum(_conductances(graph)[:, None] * D[p, q] * diff * diff)
+
+
+def harmonic_extension(graph: VertexGraph, boundary_values: np.ndarray) -> np.ndarray:
+    """The harmonic structure's extension of the given V_0 values to V_m:
+    h o F_wi |V_0 = A_i (h o F_w |V_0) cell by cell (Kigami 2001, ch. 3), the
+    matrices A_i read off the level-1 energy minimizer.  It is the level-m
+    energy minimizer when (D, r) is a harmonic structure (the level-1 network
+    traces back to D on V_0), and differs from it otherwise.
+    """
+    S = graph.structure
+    G1 = build_level(S, 1)
+    E1 = energy_matrix(G1).apply(np.eye(G1.n_vertices))
+    bid = G1.boundary_ids
+    inner = G1.interior_mask()
+    H = np.eye(G1.n_vertices)[:, bid]
+    H[inner] = np.linalg.solve(E1[np.ix_(inner, inner)], -E1[np.ix_(inner, bid)])
+    A = H[G1.cells]  # A[i, p, q] = h(F_i(x_p)) for the harmonic h = 1 at x_q, 0 on V_0 \ x_q
+    # row c N + i of the next V is cell c's child i, as in the cell index
+    V = np.asarray(boundary_values, dtype=float)[None, :]
+    for _ in range(graph.level):
+        V = np.einsum("ipq,cq->cip", A, V).reshape(-1, S.n_boundary)
+    h = np.empty(graph.n_vertices)
+    h[graph.cells] = V
     return h
 
 
@@ -165,9 +195,8 @@ class EigenBasis:
 
         Dirichlet pairs solve the pencil on interior rows only; boundary rows
         carry the (generally nonzero) normal derivative and are excluded.
-        E phi is summed over each row's entries of ``form.stencil``, for
-        blocks of about 2**17 entries of the result, so no n x n product is
-        formed.
+        E phi is ``form.apply`` on blocks of about 2**17 entries of the
+        result, so no n x n product is formed.
         """
         V = self.vectors
         n, k = V.shape
@@ -175,20 +204,11 @@ class EigenBasis:
             rows = np.flatnonzero(self.graph.interior_mask())
         else:
             rows = np.arange(n)
-        # Padded neighbour table: row i's stencil columns nbr[i] with weights
-        # w[i], padded by column 0 at weight 0.
-        i, j, values = form.stencil
-        counts = np.bincount(i, minlength=n)
-        slot = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        nbr = np.zeros((n, counts.max()), dtype=np.intp)
-        w = np.zeros(nbr.shape)
-        nbr[i, slot] = j
-        w[i, slot] = values
         out = np.zeros(k)
         step = max(1, 2**17 // k)
         for start in range(0, rows.size, step):
             r = rows[start : start + step]
-            R = np.einsum("ik,ikj->ij", w[r], V[nbr[r]])
+            R = form.apply(V, rows=r)
             R -= (self.mass[r, None] * V[r]) * self.eigenvalues[None, :]
             np.maximum(out, np.abs(R).max(axis=0), out=out)
         return out
@@ -471,23 +491,14 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
 
 
 def rayleigh_quotient(basis: EigenBasis) -> float:
-    """lambda_1 as the Rayleigh quotient of the ground eigenvector,
-
-        sum_w (1 / r_w) sum_(p < q) D[p, q] (phi(w_p) - phi(w_q))^2 / sum M phi^2,
-
-    over cells w with corners w_p.  The energy is a sum of nonnegative edge
-    terms, so it has no cancellation, and the quotient is stationary at the
-    eigenvector: a low eigenvalue keeps its relative accuracy, where eigh
-    gives it only to about eps * lambda_max.
+    """lambda_1 as the Rayleigh quotient of the ground eigenvector phi,
+    ``_edge_energy`` of phi over sum M phi^2 in long double.  The edge sum has
+    no cancellation and the quotient is stationary at the eigenvector: a low
+    eigenvalue keeps its relative accuracy, where eigh gives it only to about
+    eps * lambda_max.
     """
-    graph = basis.graph
-    phi = basis.vectors[:, 0]
-    p, q = np.triu_indices(graph.structure.n_boundary, 1)
-    D = np.asarray(graph.structure.harmonic.D, dtype=float)
-    phi = phi.astype(np.longdouble)
-    diff = phi[graph.cells[:, p]] - phi[graph.cells[:, q]]
-    energy = np.sum(_conductances(graph)[:, None] * D[p, q] * diff * diff)
-    return float(energy / np.sum(basis.mass * phi * phi))
+    phi = basis.vectors[:, 0].astype(np.longdouble)
+    return float(_edge_energy(basis.graph, phi) / np.sum(basis.mass * phi * phi))
 
 
 def _count(eigenvalues: np.ndarray, x):

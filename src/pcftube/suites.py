@@ -132,43 +132,37 @@ class SuiteContext:
         self.tol = tol
         self.seed = seed
         self.budget = budget
-        self._graphs: dict[int, object] = {}
-        self._forms: dict[int, spec.EnergyForm] = {}
-        self._bases: dict[tuple[int, str], spec.EigenBasis] = {}
-        self._evaluators: dict[tuple[int, str], ker.KernelEvaluator] = {}
-        self._metrics: dict[int, ResistanceMetric] = {}
+        self._cache: dict[tuple, object] = {}
+
+    def _cached(self, kind, level: int | None, build):
+        """build(level) once per (kind, level); level None is the context's."""
+        key = (kind, self.level if level is None else level)
+        if key not in self._cache:
+            self._cache[key] = build(key[1])
+        return self._cache[key]
 
     def graph(self, level: int | None = None):
-        lvl = self.level if level is None else level
-        if lvl not in self._graphs:
-            self._graphs[lvl] = build_level(self.structure, lvl, self.budget)
-        return self._graphs[lvl]
+        return self._cached("graph", level, lambda m: build_level(self.structure, m, self.budget))
 
     def form(self, level: int | None = None) -> spec.EnergyForm:
-        lvl = self.level if level is None else level
-        if lvl not in self._forms:
-            self._forms[lvl] = spec.energy_matrix(self.graph(lvl))
-        return self._forms[lvl]
+        return self._cached("form", level, lambda m: spec.energy_matrix(self.graph(m)))
 
     def basis(self, bc: str, level: int | None = None) -> spec.EigenBasis:
-        lvl = self.level if level is None else level
-        key = (lvl, bc)
-        if key not in self._bases:
-            self._bases[key] = spec.eigensystem(self.form(lvl), bc)
-        return self._bases[key]
+        return self._cached(("basis", bc), level, lambda m: spec.eigensystem(self.form(m), bc))
 
     def evaluator(self, bc: str, level: int | None = None) -> ker.KernelEvaluator:
-        lvl = self.level if level is None else level
-        key = (lvl, bc)
-        if key not in self._evaluators:
-            self._evaluators[key] = ker.KernelEvaluator(self.basis(bc, lvl), self.tol)
-        return self._evaluators[key]
+        return self._cached(("evaluator", bc), level, lambda m: ker.KernelEvaluator(self.basis(bc, m), self.tol))
 
     def metric(self, level: int | None = None) -> ResistanceMetric:
-        lvl = self.level if level is None else level
-        if lvl not in self._metrics:
-            self._metrics[lvl] = ResistanceMetric(self.basis("neumann", lvl))
-        return self._metrics[lvl]
+        return self._cached("metric", level, lambda m: ResistanceMetric(self.basis("neumann", m)))
+
+    def barrier(self) -> tuple[bnd.BoundarySet, bnd.BarrierResult]:
+        """The set of ``barrier_words`` and its Neumann barrier at aperture 1
+        on the boundary suite's ladder."""
+        def build(m):
+            E = bnd.BoundarySet(self.graph(m), self.barrier_words())
+            return E, bnd.barrier(self.evaluator("neumann", m), E, 1.0, np.geomspace(0.02, 0.9, 10), self.metric(m))
+        return self._cached("barrier", None, build)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -323,7 +317,6 @@ def _core_suite(ctx: SuiteContext, r: _Runner) -> None:
 
 def _spectral_suite(ctx: SuiteContext, r: _Runner) -> None:
     graph = ctx.graph()
-    form = ctx.form()
     bD = ctx.basis("dirichlet")
     bN = ctx.basis("neumann")
 
@@ -361,9 +354,9 @@ def _spectral_suite(ctx: SuiteContext, r: _Runner) -> None:
 
     def energy_trace():
         bv = ctx.rng().standard_normal(ctx.structure.n_boundary)
-        h = spec.harmonic_extension(form, bv)
+        h = spec.harmonic_extension(graph, bv)
         e0 = float(bv @ (-np.asarray(ctx.structure.harmonic.D, dtype=float)) @ bv)
-        dev = abs(form.energy(h) - e0)
+        dev = abs(ctx.form().energy(h) - e0)
         return dev, dev <= 1e-9 * max(1.0, e0)
 
     r.run("spectral.energy_trace", "harmonic extension preserves the boundary energy", energy_trace, 1e-9)
@@ -655,9 +648,7 @@ def _boundary_suite(ctx: SuiteContext, r: _Runner) -> None:
     r.run("boundary.ball_mass_lower", "kernel mass in matched balls is bounded below uniformly in t", ball_mass, None)
 
     def barrier_check():
-        evN = ctx.evaluator("neumann")
-        E = bnd.BoundarySet(graph, ctx.barrier_words())
-        res = bnd.barrier(evN, E, 1.0, np.geomspace(0.02, 0.9, 10), met)
+        _, res = ctx.barrier()
         decayed = all(dec[0] <= dec[-1] + 1e-12 for dec in res.decay.values())
         ok = res.boundary_min > 0.0 and decayed
         finals = max(float(dec[0]) for dec in res.decay.values())
@@ -676,10 +667,9 @@ def _boundary_suite(ctx: SuiteContext, r: _Runner) -> None:
 
     def comparison():
         evN = ctx.evaluator("neumann")
-        E = bnd.BoundarySet(graph, ctx.barrier_words())
+        E, res = ctx.barrier()
         alpha = 1.0
-        ts = np.geomspace(0.02, 0.9, 10)
-        res = bnd.barrier(evN, E, alpha, ts, met)
+        ts = res.t_grid
         mtilde = max(1.0 / res.boundary_min, 1.0)
         dist_e = E.distance(met)
         g = np.tanh(rng.standard_normal(graph.n_vertices))

@@ -259,6 +259,19 @@ def bincount_energy_matrix(graph) -> np.ndarray:
     return E
 
 
+def dense_harmonic_extension(graph, boundary_values) -> np.ndarray:
+    """The level-m energy minimizer with the given V_0 values: one dense
+    interior solve against ``bincount_energy_matrix``."""
+    E = bincount_energy_matrix(graph)
+    bid = graph.boundary_ids
+    interior = np.flatnonzero(graph.interior_mask())
+    h = np.zeros(graph.n_vertices)
+    h[bid] = boundary_values
+    rhs = -E[np.ix_(interior, bid)] @ np.asarray(boundary_values, dtype=float)
+    h[interior] = np.linalg.solve(E[np.ix_(interior, interior)], rhs)
+    return h
+
+
 def dense_residuals(basis, E: np.ndarray) -> np.ndarray:
     """Per-mode max of |E phi - lambda M phi| from one dense product.
 
@@ -280,7 +293,7 @@ def full_eigh(form, bc: str) -> tuple[np.ndarray, np.ndarray]:
     mass = graph.vertex_mass
     keep = np.flatnonzero(graph.interior_mask()) if bc == "dirichlet" else np.arange(graph.n_vertices)
     m_half = np.sqrt(mass[keep])
-    A = form.matrix[np.ix_(keep, keep)] / m_half[:, None] / m_half[None, :]
+    A = bincount_energy_matrix(graph)[np.ix_(keep, keep)] / m_half[:, None] / m_half[None, :]
     vals, phi = np.linalg.eigh(0.5 * (A + A.T))
     vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
     phi /= m_half[:, None]

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import pcftube.boundary as bnd
 import pcftube.spectral as spectral
 from pcftube.cli import main
 from pcftube.core import build_level, load_structure
@@ -54,6 +55,28 @@ def test_suite_seed_changes_values():
     va = [c.value for c in a.checks if c.id == "tube.l2_monotone"]
     vb = [c.value for c in b.checks if c.id == "tube.l2_monotone"]
     assert va != vb
+
+
+def test_energy_trace_fails_off_a_harmonic_structure():
+    # with these r the level-1 network does not trace back to D on V_0, so the
+    # structure's extension does not carry the boundary energy
+    rep = verify_suite("spectral", config={"preset": "sierpinski", "r": [0.6, 0.5, 0.4]}, level=4)
+    check = next(c for c in rep.checks if c.id == "spectral.energy_trace")
+    assert check.status == "fail" and check.value > 0.5
+
+
+def test_boundary_suite_builds_the_barrier_once(monkeypatch):
+    calls = []
+    barrier = bnd.barrier
+
+    def counting_barrier(*args):
+        calls.append(args)
+        return barrier(*args)
+
+    monkeypatch.setattr(bnd, "barrier", counting_barrier)
+    rep = verify_suite("boundary", preset="interval", level=6)
+    assert {c.id for c in rep.checks} >= {"boundary.barrier", "boundary.barrier_comparison"}
+    assert rep.passed and len(calls) == 1
 
 
 def test_unknown_suite_rejected():

@@ -26,6 +26,7 @@ from .kernels import (
     KernelEvaluator,
     approx_identity_error,
     bound_constant,
+    kernel_min,
     semigroup_defect,
     subordination_transform,
 )

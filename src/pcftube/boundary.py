@@ -172,6 +172,7 @@ def shifted_kernel_constant(
     r_apex = metric.from_vertex(cone.apex)
     bound_at = two_branch_bound(metric.from_vertex(x), d)
     best = 0.0
+    step = max(1, 2**17 // r_apex.size)
     for t in t_grid:
         t = float(t)
         members = cone.members(r_apex, d, t)
@@ -179,10 +180,11 @@ def shifted_kernel_constant(
             continue
         bound = bound_at(t)
         # bound > 0 and best >= 0, so entries with P <= 0 never win: the ratio
-        # is formed in place, with no temporaries the size of P
-        P = ev.poisson_row(t, members)
-        P /= bound
-        best = max(best, float(P.max()))
+        # is formed in place, on blocks of about 1 MB of float64 as in _maximal
+        for start in range(0, members.size, step):
+            P = ev.poisson_row(t, members[start : start + step])
+            P /= bound
+            best = max(best, float(P.max()))
     return best
 
 
@@ -253,7 +255,7 @@ class BoundarySet:
 
     def distance(self, metric: ResistanceMetric) -> np.ndarray:
         """Resistance distance from every vertex to the vertex set of E."""
-        return metric.matrix()[:, self.vertex_indicator].min(axis=1)
+        return np.min(metric.matrix(), axis=1, where=self.vertex_indicator, initial=np.inf)
 
 
 # Relative half-width of the sampled lateral shell of the barrier region, and
@@ -327,7 +329,7 @@ def barrier(
     if not boundary_vals:
         raise ValueError("no lateral boundary samples at this resolution")
 
-    dist_comp = metric.matrix()[:, ~E.vertex_indicator].min(axis=1)
+    dist_comp = np.min(metric.matrix(), axis=1, where=~E.vertex_indicator, initial=np.inf)
     interior = np.flatnonzero(E.vertex_indicator & (dist_comp > 0.0))
     if interior.size == 0:
         raise ValueError("E has no interior vertices at this level")

@@ -542,6 +542,11 @@ class VertexGraph:
             rows += [row[s] for row in rows]
         return np.array(rows)
 
+    def orbit_representatives(self) -> np.ndarray:
+        """The smallest vertex of each orbit of ``symmetry_group``, ascending;
+        every vertex when the structure has no symmetry."""
+        return np.flatnonzero(self.symmetry_group().min(axis=0) == np.arange(self.n_vertices))
+
     def interior_mask(self) -> np.ndarray:
         mask = np.ones(self.n_vertices, dtype=bool)
         mask[self.boundary_ids] = False

@@ -144,6 +144,10 @@ class KernelEvaluator:
         """P(t, x, .) for a vertex x (a row), or rows for an index array x."""
         return self._kernel(self.sqrt_lam, t, x, slice(None))
 
+    def heat_row(self, t: float, x) -> np.ndarray:
+        """H(t, x, .) for a vertex x (a row), or rows for an index array x."""
+        return self._kernel(self.lam, t, x, slice(None))
+
     # -- Poisson integrals -------------------------------------------------------
 
     def coefficients(self, f) -> np.ndarray:
@@ -241,17 +245,40 @@ def subordination_transform(h, t: float, tol: float = 1e-7) -> float:
     return total * 2.0 / math.sqrt(math.pi)
 
 
+def kernel_min(ev: KernelEvaluator, t: float) -> float:
+    """Smallest entry of the Poisson and the heat kernel matrix at time t.
+
+    Both kernels commute with the symmetry group, K(g x, g y) = K(x, y), so
+    the rows at the orbit representatives hold every entry of the matrix,
+    and their minimum is the whole-matrix minimum.
+    """
+    reps = ev.graph.orbit_representatives()
+    return min(float(ev.poisson_row(t, reps).min()), float(ev.heat_row(t, reps).min()))
+
+
 def semigroup_defect(ev: KernelEvaluator, t: float, s: float, kind: str = "poisson") -> float:
-    """Max over all (x, y) of |composition through the measure - kernel at t+s|."""
+    """Max over all (x, y) of |composition through the measure - kernel at t+s|.
+
+    The composition K_t M K_s is taken through the eigenvectors,
+    ((K_t[reps] M) V) e^(-rate s) V^T over the modes V live at s, on the
+    orbit representatives reps only: as in ``kernel_min``, their rows hold
+    every entry of the G-invariant kernels, so the max is the whole-matrix
+    one, and no n x n array is formed.
+    """
     if kind not in ("poisson", "heat"):
         raise ValueError("kind must be 'poisson' or 'heat'")
-    mat = ev.poisson_matrix if kind == "poisson" else ev.heat_matrix
-    # One product at a time and in place: three n x n arrays live at most.
-    # With s == t the kernel matrix is built once.
-    left = mat(t)
-    comp = left @ (ev.mass[:, None] * (left if s == t else mat(s)))
+    ev._check(s)
+    rate, row = (ev.sqrt_lam, ev.poisson_row) if kind == "poisson" else (ev.lam, ev.heat_row)
+    reps = ev.graph.orbit_representatives()
+    k = ev._live(rate, s)
+    V = ev.vectors[:, :k]
+    left = row(t, reps)
+    left *= ev.mass
+    coef = left @ V
     del left
-    comp -= mat(t + s)
+    coef *= np.exp(-rate[:k] * s)
+    comp = coef @ V.T
+    comp -= row(t + s, reps)
     return float(np.abs(comp, out=comp).max())
 
 

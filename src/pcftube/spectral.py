@@ -214,8 +214,15 @@ class EigenBasis:
         return out
 
     def gram_deviation(self) -> float:
-        G = self.vectors.T @ (self.mass[:, None] * self.vectors)
-        return float(np.abs(G - np.eye(self.n_modes)).max())
+        """max |V^T M V - I|, with the Gram matrix formed as W^T W for
+        W = sqrt(M) V: BLAS evaluates that as a symmetric rank-k update, and
+        the identity and the absolute value are taken in place, so two n x n
+        arrays live at most."""
+        W = self.vectors * np.sqrt(self.mass)[:, None]
+        G = W.T @ W
+        del W
+        G.flat[:: self.n_modes + 1] -= 1.0
+        return float(np.abs(G, out=G).max())
 
 
 def _irreps(k: int, reflect: bool) -> list[np.ndarray]:
@@ -274,17 +281,16 @@ def _anchor_signs(phi: np.ndarray, m_half: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _orbit_types(group: np.ndarray, keep: np.ndarray, k: int):
-    """Orbit representatives of the group on ``keep`` and their orbit types.
+def _orbit_types(group: np.ndarray, reps: np.ndarray, k: int):
+    """The orbit representatives ``reps`` grouped by orbit type.
 
-    reps holds the smallest vertex id of each orbit, grouped by stabilizer H,
-    larger stabilizers first (with k = 1: the vertices s fixes, then the
-    swapped pairs).  Each type is (sl, fixed, slots, mirror): its reps are
-    reps[sl] and H = fixed (row indices of ``group``); slot c is the point
-    g_c x, g_c = slots[c] the first element of its coset of H, and mirror[c]
-    is the slot of its image under s (group row k).
+    The reps (smallest vertex ids of their orbits) come back grouped by
+    stabilizer H, larger stabilizers first (with k = 1: the vertices s fixes,
+    then the swapped pairs).  Each type is (sl, fixed, slots, mirror): its
+    reps are reps[sl] and H = fixed (row indices of ``group``); slot c is the
+    point g_c x, g_c = slots[c] the first element of its coset of H, and
+    mirror[c] is the slot of its image under s (group row k).
     """
-    reps = keep[group[:, keep].min(axis=0) == keep]
     fixed = group[:, reps] == reps
     # each stabilizer as a bit mask over the group rows
     mask = (fixed.T << np.arange(group.shape[0])).sum(axis=1)
@@ -394,10 +400,10 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     mass = graph.vertex_mass
     if np.any(mass <= 0.0):
         raise ValueError("vertex masses must be positive")
+    reps = graph.orbit_representatives()
     if bc == "dirichlet":
-        keep = np.flatnonzero(graph.interior_mask())
-    else:
-        keep = np.arange(graph.n_vertices)
+        # the group maps V_0 onto itself, so interior orbits stay interior
+        reps = reps[graph.interior_mask()[reps]]
     group = graph.symmetry_group()
     reflect = graph.structure.involution is not None
     k = group.shape[0] // (1 + reflect)
@@ -405,7 +411,7 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     # the sign of s on each irrep's modes (+1 without s: group row k % |G| = 0)
     parities = [rho[k % group.shape[0], 0, 0] for rho in irreps]
     m_half = np.sqrt(mass)
-    reps, types = _orbit_types(group, keep, k)
+    reps, types = _orbit_types(group, reps, k)
 
     # The gathers A[reps, f reps], shared by every block, on the stencil.
     hat = _hat(form, m_half, group, reps, types)

@@ -460,7 +460,7 @@ def _kernels_suite(ctx: SuiteContext, r: _Runner) -> None:
             low = 0.0
             for ev in (evD, evN):
                 for t in ladder:
-                    low = min(low, float(ev.poisson_matrix(t).min()), float(ev.heat_matrix(t).min()))
+                    low = min(low, ker.kernel_min(ev, t))
             return low, low >= -ctx.tol
 
         r.run("kernels.positivity", "kernels stay nonnegative up to the tail tolerance", positivity, ctx.tol)

@@ -465,3 +465,18 @@ def brute_shifted_kernel_constant(P_by_t, R: np.ndarray, d: float, x: int, apex:
                 if P[y, z] > 0.0:
                     best = max(best, float(P[y, z]) / bound)
     return best
+
+
+# -- whole-matrix kernel checks ---------------------------------------------------
+
+
+def full_kernel_min(ev, t: float) -> float:
+    """Smallest entry of the whole Poisson and heat kernel matrices at t."""
+    return min(float(ev.poisson_matrix(t).min()), float(ev.heat_matrix(t).min()))
+
+
+def full_semigroup_defect(ev, t: float, s: float, kind: str) -> float:
+    """max |K_t M K_s - K_(t+s)| over every (x, y), from whole kernel matrices."""
+    mat = ev.poisson_matrix if kind == "poisson" else ev.heat_matrix
+    comp = mat(t) @ (ev.mass[:, None] * mat(s)) - mat(t + s)
+    return float(np.abs(comp).max())

@@ -393,6 +393,33 @@ def test_symmetry_group_order(config, order):
     assert all(a[b].tobytes() in rows for a in group for b in group)
 
 
+@pytest.mark.parametrize(
+    "config, m, n_reps",
+    [
+        ("interval", 8, 129),
+        ("sierpinski", 5, 64),
+        ("sierpinski", 6, 186),
+        ("sierpinski", 7, 551),
+        ("vicsek", 3, 54),
+        ({"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}, 4, None),
+    ],
+)
+def test_orbit_representatives_partition_the_vertices(config, m, n_reps):
+    G = build_level(load_structure(config), m)
+    group = G.symmetry_group()
+    reps = G.orbit_representatives()
+    # each column of group[:, reps] is one orbit, listed |stabilizer| times,
+    # and the orbits cover every vertex exactly once
+    orbits = [np.unique(group[:, x]) for x in reps]
+    assert np.array_equal(np.sort(np.concatenate(orbits)), np.arange(G.n_vertices))
+    assert all(orbit[0] == x for orbit, x in zip(orbits, reps))
+    assert np.all(np.diff(reps) > 0)
+    if group.shape[0] == 1:
+        assert np.array_equal(reps, np.arange(G.n_vertices))
+    if n_reps is not None:
+        assert reps.size == n_reps
+
+
 def test_interval_resistances(stacks):
     st = stacks("interval", 3)
     R = st.metric.matrix()

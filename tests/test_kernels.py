@@ -1,22 +1,28 @@
+import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from pcftube.boundary import Cone, shifted_kernel_constant
 from pcftube.core import build_level, load_structure
 from pcftube.kernels import (
     KernelEvaluator,
     approx_identity_error,
     bound_constant,
+    kernel_min,
     semigroup_defect,
     subordination_transform,
 )
-from pcftube.spectral import EigenBasis
+from pcftube.spectral import EigenBasis, eigensystem, energy_matrix
 
 from oracles import (
     brute_bound_constant,
+    full_kernel_min,
     full_mode_kernel,
+    full_semigroup_defect,
     interval_dirichlet_mass,
     interval_heat_neumann,
     interval_poisson_dirichlet,
@@ -282,15 +288,96 @@ def test_semigroup_defects(stacks):
 
 
 def test_semigroup_defect_at_equal_times_is_the_two_matrix_product(stacks):
-    # t == s builds the kernel matrix once; the value is the product of two builds
+    # the orbit-row composition through the eigenvectors reads the defect of
+    # the whole two-matrix product up to roundoff: both are roundoff figures,
+    # up to 46 ulps of max |K| on the presets
     for bc in ("dirichlet", "neumann"):
         ev = stacks("sierpinski", 5).evaluator(bc)
         for kind, mat in (("poisson", ev.poisson_matrix), ("heat", ev.heat_matrix)):
-            comp = mat(0.2) @ (ev.mass[:, None] * mat(0.2)) - mat(0.4)
-            assert semigroup_defect(ev, 0.2, 0.2, kind) == float(np.abs(comp).max())
+            tol = 128 * np.spacing(np.abs(mat(0.4)).max())
+            assert abs(semigroup_defect(ev, 0.2, 0.2, kind) - full_semigroup_defect(ev, 0.2, 0.2, kind)) <= tol
     ev = stacks("sierpinski", 5).evaluator("neumann")
-    comp = ev.heat_matrix(0.1) @ (ev.mass[:, None] * ev.heat_matrix(0.3)) - ev.heat_matrix(0.4)
-    assert semigroup_defect(ev, 0.1, 0.3, "heat") == float(np.abs(comp).max())
+    tol = 128 * np.spacing(np.abs(ev.heat_matrix(0.4)).max())
+    assert abs(semigroup_defect(ev, 0.1, 0.3, "heat") - full_semigroup_defect(ev, 0.1, 0.3, "heat")) <= tol
+
+
+ORBIT_STACKS = [("interval", 8), ("sierpinski", 5), ("vicsek", 3)]
+
+
+@pytest.mark.parametrize("preset, m", ORBIT_STACKS)
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("kind", ["poisson", "heat"])
+def test_orbit_row_checks_match_the_whole_matrix(stacks, preset, m, bc, kind):
+    # K(g x, g y) = K(x, y): the orbit-representative rows hold every entry,
+    # so min and max |defect| over them are the whole-matrix values up to the
+    # roundoff of the two routes (measured: the minima within 0.75 ulp of
+    # max |K|, the defects, themselves roundoff figures, within 46)
+    ev = stacks(preset, m).evaluator(bc)
+    mat = ev.poisson_matrix if kind == "poisson" else ev.heat_matrix
+    for t, s in ((0.05, 0.05), (0.2, 0.2), (0.1, 0.3)):
+        tol = 128 * np.spacing(np.abs(mat(t + s)).max())
+        assert abs(semigroup_defect(ev, t, s, kind) - full_semigroup_defect(ev, t, s, kind)) <= tol
+    for t in (0.05, 0.2, 0.8):
+        tol = 4 * np.spacing(max(np.abs(ev.poisson_matrix(t)).max(), np.abs(ev.heat_matrix(t)).max()))
+        assert abs(kernel_min(ev, t) - full_kernel_min(ev, t)) <= tol
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_orbit_row_checks_without_symmetry_read_every_row(bc):
+    G = build_level(load_structure({"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}), 4)
+    assert np.array_equal(G.orbit_representatives(), np.arange(G.n_vertices))
+    ev = KernelEvaluator(eigensystem(energy_matrix(G), bc))
+    for kind, mat in (("poisson", ev.poisson_matrix), ("heat", ev.heat_matrix)):
+        tol = 128 * np.spacing(np.abs(mat(0.4)).max())
+        assert abs(semigroup_defect(ev, 0.2, 0.2, kind) - full_semigroup_defect(ev, 0.2, 0.2, kind)) <= tol
+    tol = 4 * np.spacing(max(np.abs(ev.poisson_matrix(0.05)).max(), np.abs(ev.heat_matrix(0.05)).max()))
+    assert abs(kernel_min(ev, 0.05) - full_kernel_min(ev, 0.05)) <= tol
+
+
+@pytest.mark.parametrize("preset, m", ORBIT_STACKS)
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("kind", ["poisson", "heat"])
+def test_orbit_rows_see_an_injected_equivariant_defect(stacks, preset, m, bc, kind):
+    # A measure off by the factor 1 + delta commutes with the group and makes
+    # every composition (1 + delta) K_(t+s).  (Scaling the eigenvalues instead
+    # keeps e^(-lambda t) e^(-lambda s) = e^(-lambda (t + s)): no defect.)
+    delta = 1e-2
+    basis = stacks(preset, m).basis(bc)
+    ev = KernelEvaluator(dataclasses.replace(basis, mass=basis.mass * (1.0 + delta)))
+    mat = ev.poisson_matrix if kind == "poisson" else ev.heat_matrix
+    dev = semigroup_defect(ev, 0.2, 0.2, kind)
+    assert dev == pytest.approx(full_semigroup_defect(ev, 0.2, 0.2, kind), rel=1e-12)
+    assert dev == pytest.approx(delta * np.abs(mat(0.4)).max(), rel=1e-12)
+
+
+def _traced_peak(body) -> int:
+    """Peak bytes traced while body() runs, after one untraced warm-up call."""
+    body()
+    tracemalloc.start()
+    try:
+        body()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_peaks_in_dense_arrays(stacks):
+    # Peaks in units of one n x n float64 array.  At sierpinski m=5 (measured):
+    # semigroup_defect 0.77, kernel_min 0.42, gram_deviation 2.00.  The
+    # shifted-kernel blocks hold about 2**17 entries each, which is one whole
+    # array at m=5, so that peak is read at m=6 (0.34 measured).
+    st = stacks("sierpinski", 5)
+    dense = 8 * st.graph.n_vertices**2
+    for bc in ("dirichlet", "neumann"):
+        ev = st.evaluator(bc)
+        for kind in ("poisson", "heat"):
+            assert _traced_peak(lambda: semigroup_defect(ev, 0.2, 0.2, kind)) < dense
+        assert _traced_peak(lambda: kernel_min(ev, 0.05)) < dense
+        assert _traced_peak(st.basis(bc).gram_deviation) <= 2.1 * dense
+    st = stacks("sierpinski", 6)
+    ev, x = st.evaluator("neumann"), st.graph.vertex_id((0, 1), 2)
+    peak = _traced_peak(lambda: shifted_kernel_constant(ev, st.metric, x, Cone(x, 1.0), [0.1, 0.3]))
+    assert peak < 0.5 * 8 * st.graph.n_vertices**2
 
 
 def test_semigroup_long_time_neumann(stacks):

@@ -172,7 +172,9 @@ def shifted_kernel_constant(
     r_apex = metric.from_vertex(cone.apex)
     bound_at = two_branch_bound(metric.from_vertex(x), d)
     best = 0.0
-    step = max(1, 2**17 // r_apex.size)
+    # A block reads the whole eigenbasis through gemm: at least a tenth of the
+    # rows per block keeps that read from dominating at large n.
+    step = max(2**17 // r_apex.size, r_apex.size // 10)
     for t in t_grid:
         t = float(t)
         members = cone.members(r_apex, d, t)
@@ -180,7 +182,7 @@ def shifted_kernel_constant(
             continue
         bound = bound_at(t)
         # bound > 0 and best >= 0, so entries with P <= 0 never win: the ratio
-        # is formed in place, on blocks of about 1 MB of float64 as in _maximal
+        # is formed in place, on blocks of at least 1 MB of float64
         for start in range(0, members.size, step):
             P = ev.poisson_row(t, members[start : start + step])
             P /= bound

@@ -6,9 +6,10 @@ as a weighted time average of the heat kernel,
 
     P(t,x,y) = (2/sqrt(pi)) * int_0^inf exp(-v^2) H(t^2/(4 v^2), x, y) dv,
 
-evaluated by adaptive Simpson quadrature; for the discrete eigenbasis the two
-routes agree exactly up to quadrature error, which is what the verification
-suite exploits.
+evaluated on Gauss-Legendre panels in v with a nested error estimate, one
+integrand evaluation per refinement round for a pair or a batch of pairs;
+for the discrete eigenbasis the two routes agree exactly up to quadrature
+error, which is what the verification suite exploits.
 
 Truncation honesty: the evaluator can estimate the continuum tail left out
 beyond its retained modes (using the empirical sup-norm constant and the
@@ -25,11 +26,6 @@ import numpy as np
 
 from .core import TIE_RTOL
 from .spectral import EigenBasis, eigen_growth_constants, supnorm_ratio
-
-# Halvings after which adaptive Simpson reports no convergence: a panel of
-# 2**-48 its initial width.
-SIMPSON_DEPTH = 48
-
 
 class KernelEvaluator:
     """Kernel and Poisson-integral evaluations on one eigenbasis."""
@@ -183,66 +179,92 @@ class KernelEvaluator:
 
     # -- subordination -----------------------------------------------------------
 
-    def heat_profile(self, s: float, x: int, y: int) -> float:
-        if not np.isfinite(s):
-            w = (self.lam == 0.0).astype(float)
-            return float(np.dot(self.vectors[x] * w, self.vectors[y]))
-        k = self._live(self.lam, s)
-        w = np.exp(-self.lam[:k] * s)
-        return float(np.dot(self.vectors[x, :k] * w, self.vectors[y, :k]))
+    def heat_profile(self, s, x, y):
+        """H(s, x, y) over the modes live at s, for finite times s > 0.
 
-    def poisson_via_subordination(self, t: float, x: int, y: int, quad_tol: float = 1e-7) -> float:
+        ``s`` is a time, or an array whose last axis holds the nodes of one
+        panel: each panel sums the modes live at its smallest time (see
+        _live), so no table of all modes at all nodes is formed.  x and y are
+        vertices or matching index arrays, whose shape leads the result's.
+        """
+        s = np.asarray(s, dtype=float)
+        panels = s.reshape(-1, s.shape[-1] if s.ndim else 1)
+        coef = self.vectors[x] * self.vectors[y]
+        out = np.empty(coef.shape[:-1] + panels.shape)
+        for i, nodes in enumerate(panels):
+            k = self._live(self.lam, nodes.min())
+            w = np.multiply.outer(self.lam[:k], -nodes)
+            out[..., i, :] = coef[..., :k] @ np.exp(w, out=w)
+        out = out.reshape(coef.shape[:-1] + s.shape)
+        return float(out) if out.ndim == 0 else out
+
+    def poisson_via_subordination(self, t: float, x, y, quad_tol: float = 1e-7):
+        """P(t, x, y) from the heat kernel by subordination, for a pair or for
+        matching index arrays x and y (then one value per pair)."""
         self._check(t)
         return subordination_transform(lambda s: self.heat_profile(s, x, y), t, quad_tol)
 
 
-def _adaptive_simpson(g, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = g(lm), g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0:
-        raise RuntimeError("quadrature did not converge")
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(g, a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + _adaptive_simpson(
-        g, m, b, fm, frm, fb, right, tol / 2.0, depth - 1
-    )
+# Nodes of the 10-node and then the 20-node Gauss-Legendre rule on [-1, 1],
+# and their weights; the two rules' difference on a panel is its error estimate.
+_GL10, _GL20 = np.polynomial.legendre.leggauss(10), np.polynomial.legendre.leggauss(20)
+_GL_NODES = np.concatenate([_GL10[0], _GL20[0]])
+# Halvings after which a failing panel reports no convergence: a panel of
+# 2**-48 its initial width.
+QUAD_HALVINGS = 48
+# Open panels past which refinement reports no convergence: an integrand no
+# finite panel set resolves (NaN, noise) would otherwise double them each round.
+QUAD_MAX_PANELS = 4096
 
 
-def adaptive_simpson(g, a: float, b: float, tol: float) -> float:
-    fa, fb = g(a), g(b)
-    m = 0.5 * (a + b)
-    fm = g(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(g, a, b, fa, fm, fb, whole, tol, SIMPSON_DEPTH)
-
-
-def subordination_transform(h, t: float, tol: float = 1e-7) -> float:
-    """(2/sqrt(pi)) * int exp(-v^2) h(t^2 / (4 v^2)) dv by adaptive Simpson.
+def subordination_transform(h, t: float, tol: float = 1e-7):
+    """(2/sqrt(pi)) * int_0^inf exp(-v^2) h(t^2 / (4 v^2)) dv on Gauss-Legendre panels.
 
     The substitution v = t / (2 sqrt(s)) turns the subordination integral into
-    a smooth, exponentially decaying integrand; h(s) must be bounded on
-    (0, inf].  ``tol`` is an absolute tolerance on the result.
+    a smooth, exponentially decaying integrand; h must be bounded on (0, inf).
+    h takes an array of times s and returns values whose trailing shape is
+    s.shape; a leading axis there is a batch of integrands, and the result has
+    the batch shape (a float for none).  ``tol`` is an absolute tolerance on
+    each result.
+
+    Each round evaluates h once, at the nodes of both rules on every open
+    panel.  A panel passes when its 10- and 20-node values agree within its
+    share of ``tol`` for every integrand of the batch, and adds its 20-node
+    value; a failing panel is bisected, each half with half its tolerance.
+    The first panel is [0, v0] with v0 = 1e-8: there s exceeds t^2 / 4e-16,
+    so a heat kernel is down to its zero modes.  Past v1 = 8 the weight is
+    below 1e-27.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-
-    def integrand(v: float) -> float:
-        s = t * t / (4.0 * v * v)
-        return math.exp(-v * v) * h(s)
-
-    # Refinement starts from panels spanning a factor of sqrt(2) in v each.  For
-    # a distant pair at small t the integrand is a narrow peak at small v; on
-    # fewer, wider panels every initial sample can miss it, and the vanishing
-    # samples then pass the convergence test.
+    # Past v0, panels start at a factor of sqrt(2) in v each.  For a distant
+    # pair at small t the integrand is a narrow peak at small v; on fewer,
+    # wider panels every initial node can miss it, and the vanishing values
+    # then pass the convergence test.
     v0, v1 = 1e-8, 8.0
-    panels = math.ceil(2.0 * math.log2(v1 / v0))
-    edges = np.geomspace(v0, v1, panels + 1)
-    panel_tol = tol * math.sqrt(math.pi) / (2.0 * panels)
-    total = math.fsum(adaptive_simpson(integrand, a, b, panel_tol) for a, b in zip(edges[:-1], edges[1:]))
-    return total * 2.0 / math.sqrt(math.pi)
+    edges = np.geomspace(v0, v1, math.ceil(2.0 * math.log2(v1 / v0)) + 1)
+    lo, hi = np.concatenate([[0.0], edges[:-1]]), edges
+    panel_tol = np.full(lo.size, tol * math.sqrt(math.pi) / (2.0 * lo.size))
+    total = 0.0
+    for _ in range(QUAD_HALVINGS + 1):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        v = mid[:, None] + half[:, None] * _GL_NODES
+        f = np.exp(-v * v) * h(t * t / (4.0 * v * v))
+        coarse = (f[..., :10] @ _GL10[1]) * half
+        fine = (f[..., 10:] @ _GL20[1]) * half
+        ok = np.abs(fine - coarse).reshape(-1, lo.size).max(axis=0) <= panel_tol
+        total = total + fine[..., ok].sum(axis=-1)
+        if ok.all():
+            break
+        lo, mid, hi = lo[~ok], mid[~ok], hi[~ok]
+        if 2 * lo.size > QUAD_MAX_PANELS:
+            raise RuntimeError("quadrature did not converge")
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+        panel_tol = np.repeat(0.5 * panel_tol[~ok], 2)
+    else:
+        raise RuntimeError("quadrature did not converge")
+    total = total * (2.0 / math.sqrt(math.pi))
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def kernel_min(ev: KernelEvaluator, t: float) -> float:

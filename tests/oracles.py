@@ -480,3 +480,49 @@ def full_semigroup_defect(ev, t: float, s: float, kind: str) -> float:
     mat = ev.poisson_matrix if kind == "poisson" else ev.heat_matrix
     comp = mat(t) @ (ev.mass[:, None] * mat(s)) - mat(t + s)
     return float(np.abs(comp).max())
+
+
+# -- subordination by recursive adaptive Simpson -----------------------------------
+
+
+def _simpson(g, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = g(lm), g(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0:
+        raise RuntimeError("quadrature did not converge")
+    if abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return _simpson(g, a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + _simpson(
+        g, m, b, fm, frm, fb, right, tol / 2.0, depth - 1
+    )
+
+
+def adaptive_simpson(g, a: float, b: float, tol: float, depth: int = 48) -> float:
+    """int_a^b g by recursive adaptive Simpson with Richardson correction."""
+    fa, fb = g(a), g(b)
+    m = 0.5 * (a + b)
+    fm = g(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson(g, a, b, fa, fm, fb, whole, tol, depth)
+
+
+def simpson_subordination(h, t: float, tol: float = 1e-7, h_inf: float = 0.0) -> float:
+    """(2/sqrt(pi)) * int_0^inf exp(-v^2) h(t^2 / (4 v^2)) dv for a scalar h.
+
+    Adaptive Simpson on panels spanning a factor of sqrt(2) in v over
+    [1e-8, 8]; below 1e-8 the integrand is exp(-v^2) h_inf (h's limit at
+    s = inf), which adds erf(1e-8) h_inf.
+    """
+    v0, v1 = 1e-8, 8.0
+
+    def integrand(v: float) -> float:
+        return math.exp(-v * v) * h(t * t / (4.0 * v * v))
+
+    panels = math.ceil(2.0 * math.log2(v1 / v0))
+    edges = np.geomspace(v0, v1, panels + 1)
+    panel_tol = tol * math.sqrt(math.pi) / (2.0 * panels)
+    total = math.fsum(adaptive_simpson(integrand, a, b, panel_tol) for a, b in zip(edges[:-1], edges[1:]))
+    return total * 2.0 / math.sqrt(math.pi) + math.erf(v0) * h_inf

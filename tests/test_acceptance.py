@@ -76,7 +76,7 @@ def test_criterion_02_interval_poisson_kernel_oracle():
 
 def test_criterion_03_subordination_equality(stacks):
     scalar_dev = max(
-        abs(subordination_transform(lambda s, b=b: math.exp(-b * b * s), 1.0, 1e-12) - math.exp(-b))
+        abs(subordination_transform(lambda s, b=b: np.exp(-b * b * s), 1.0, 1e-12) - math.exp(-b))
         for b in (1.0, 5.0, 20.0)
     )
     worst = 0.0

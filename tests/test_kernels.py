@@ -26,6 +26,7 @@ from oracles import (
     interval_dirichlet_mass,
     interval_heat_neumann,
     interval_poisson_dirichlet,
+    simpson_subordination,
 )
 
 
@@ -34,13 +35,49 @@ from oracles import (
 
 @pytest.mark.parametrize("beta", [1.0, 5.0, 20.0])
 def test_scalar_subordination_identity(beta):
-    val = subordination_transform(lambda s: math.exp(-beta * beta * s), 1.0, 1e-12)
+    val = subordination_transform(lambda s: np.exp(-beta * beta * s), 1.0, 1e-12)
     assert abs(val - math.exp(-beta)) <= 1e-10
 
 
 def test_subordination_rejects_nonpositive_t():
     with pytest.raises(ValueError):
         subordination_transform(lambda s: 1.0, 0.0)
+
+    def h(s):
+        raise AssertionError("integrand evaluated")
+
+    with pytest.raises(ValueError):
+        subordination_transform(h, -1.0)
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 5.0, 20.0, 100.0])
+@pytest.mark.parametrize("t", [0.05, 1.0, 3.0])
+def test_gauss_panels_match_simpson_on_exponentials(beta, t):
+    # (2/sqrt(pi)) int exp(-v^2) exp(-beta^2 t^2 / (4 v^2)) dv = exp(-beta t).
+    tol = 1e-10
+    gauss = subordination_transform(lambda s: np.exp(-beta * beta * s), t, tol)
+    simpson = simpson_subordination(lambda s: math.exp(-beta * beta * s), t, tol)
+    assert abs(gauss - math.exp(-beta * t)) <= tol
+    assert abs(simpson - math.exp(-beta * t)) <= tol
+    # a constant: the whole integral of the weight, head piece included
+    assert subordination_transform(lambda s: np.ones_like(s), t, tol) == pytest.approx(1.0, abs=tol)
+
+
+def test_subordination_batch_shape():
+    betas = np.array([[1.0], [2.0], [3.0]])
+    vals = subordination_transform(lambda s: np.exp(-np.multiply.outer(betas**2, s)), 0.5, 1e-10)
+    assert vals.shape == (3, 1)
+    assert np.abs(vals - np.exp(-0.5 * betas)).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "h",
+    [lambda s: np.sign(np.sin(1e6 * s)), lambda s: np.full(np.shape(s), np.nan)],
+    ids=["noise", "nan"],
+)
+def test_subordination_unresolvable_integrand_raises(h):
+    with pytest.raises(RuntimeError, match="did not converge"):
+        subordination_transform(h, 0.3)
 
 
 # -- kernel values against classical closed forms ---------------------------------------
@@ -208,6 +245,94 @@ def test_subordination_small_t_distant_pairs(stacks):
                 assert ev.poisson_via_subordination(t, x, y) == pytest.approx(ev.poisson(t, x, y), abs=1e-6)
 
 
+def test_subordination_matches_simpson_on_sampled_pairs(stacks):
+    tol = 1e-8
+    for preset, m in (("sierpinski", 4), ("vicsek", 2)):
+        st = stacks(preset, m)
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, st.graph.n_vertices, size=(4, 2)).tolist()
+        for bc in ("dirichlet", "neumann"):
+            ev = st.evaluator(bc)
+            V, lam = ev.vectors, ev.lam
+            for t in (0.03, 0.3):
+                for x, y in pairs:
+                    coef = V[x] * V[y]
+                    simpson = simpson_subordination(
+                        lambda s: float(coef @ np.exp(-lam * s)), t, tol, float(coef[lam == 0.0].sum())
+                    )
+                    gauss = ev.poisson_via_subordination(t, x, y, tol)
+                    assert abs(gauss - simpson) <= 2.0 * tol
+                    assert abs(gauss - ev.poisson(t, x, y)) <= tol
+
+
+def test_batched_subordination_agrees_with_pairs(stacks):
+    tol = 1e-8
+    st = stacks("sierpinski", 5)
+    rng = np.random.default_rng(3)
+    xs, ys = rng.integers(0, st.graph.n_vertices, size=(2, 9))
+    for bc in ("dirichlet", "neumann"):
+        ev = st.evaluator(bc)
+        for t in (0.02, 0.2, 0.9):
+            batch = ev.poisson_via_subordination(t, xs, ys, tol)
+            assert batch.shape == (9,)
+            for value, x, y in zip(batch, xs, ys):
+                assert abs(value - ev.poisson_via_subordination(t, x, y, tol)) <= tol
+                assert abs(value - ev.poisson(t, x, y)) <= tol
+
+
+def test_heat_profile_panels_match_scalars(stacks):
+    ev = stacks("sierpinski", 4).evaluator("neumann")
+    s = np.array([[0.5, 1e-3, 2.0], [1e4, 1e-6, 3e-2]])
+    xs, ys = np.array([0, 7, 30]), np.array([12, 7, 1])
+    table = ev.heat_profile(s, xs, ys)
+    assert table.shape == (3, 2, 3)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        assert ev.heat_profile(s, x, y).shape == s.shape
+        for j, k in np.ndindex(s.shape):
+            ref = ev.heat_profile(float(s[j, k]), x, y)
+            assert isinstance(ref, float)
+            # the same live terms, summed in another order
+            assert abs(table[i, j, k] - ref) <= 1e-14 * max(1.0, abs(ref))
+    # at the times of the first quadrature panel only the zero mode is live:
+    # 1 / total mass for Neumann, nothing for Dirichlet
+    assert ev.heat_profile(1e12, 0, 12) == pytest.approx(1.0 / ev.mass.sum(), rel=1e-12)
+    assert stacks("sierpinski", 4).evaluator("dirichlet").heat_profile(1e12, 0, 12) == 0.0
+
+
+def test_subordination_vicsek_distant_pair(stacks):
+    # Dirichlet P(0.0202, 291, 938) at vicsek m=4 is 1.39e-3 by the series;
+    # recursive Simpson on wider panels once read 6.2e-8 for it.
+    ev = stacks("vicsek", 4).evaluator("dirichlet")
+    series = ev.poisson(0.0202, 291, 938)
+    assert series == pytest.approx(1.39e-3, rel=5e-3)
+    assert abs(ev.poisson_via_subordination(0.0202, 291, 938) - series) <= 1e-7
+
+
+def test_smooth_pair_needs_few_integrand_calls(stacks):
+    # One round of both rules on the initial panels and at most one
+    # refinement round (one round measured).
+    ev = stacks("sierpinski", 5).evaluator("neumann")
+    calls = []
+
+    def h(s):
+        calls.append(np.shape(s))
+        return ev.heat_profile(s, 3, 40)
+
+    for t in (0.2, 0.5):
+        calls.clear()
+        subordination_transform(h, t, 1e-8)
+        assert len(calls) <= 2
+
+
+def test_subordination_peak_memory(stacks):
+    # No table of all modes at all nodes (about 14 MB here): each panel sums
+    # its own live modes.
+    st = stacks("sierpinski", 6)
+    ev = st.evaluator("dirichlet")
+    x, y = st.graph.vertex_id((0, 1), 2), st.graph.vertex_id((2,), 0)
+    assert _traced_peak(lambda: ev.poisson_via_subordination(0.2, x, y, 1e-8)) < 2**20
+
+
 # -- Poisson integrals ------------------------------------------------------------------
 
 
@@ -364,8 +489,9 @@ def _traced_peak(body) -> int:
 def test_check_peaks_in_dense_arrays(stacks):
     # Peaks in units of one n x n float64 array.  At sierpinski m=5 (measured):
     # semigroup_defect 0.77, kernel_min 0.42, gram_deviation 2.00.  The
-    # shifted-kernel blocks hold about 2**17 entries each, which is one whole
-    # array at m=5, so that peak is read at m=6 (0.34 measured).
+    # shifted-kernel blocks hold about 2**17 entries each up to n = 1145,
+    # which is one whole array at m=5, so that peak is read at m=6 (0.34
+    # measured).
     st = stacks("sierpinski", 5)
     dense = 8 * st.graph.n_vertices**2
     for bc in ("dirichlet", "neumann"):

@@ -500,13 +500,14 @@ def _simpson(g, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def adaptive_simpson(g, a: float, b: float, tol: float, depth: int = 48) -> float:
-    """int_a^b g by recursive adaptive Simpson with Richardson correction."""
+def adaptive_simpson(g, a: float, b: float, tol: float) -> float:
+    """int_a^b g by recursive adaptive Simpson with Richardson correction,
+    failing on a panel of 2**-48 the width of [a, b]."""
     fa, fb = g(a), g(b)
     m = 0.5 * (a + b)
     fm = g(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson(g, a, b, fa, fm, fb, whole, tol, depth)
+    return _simpson(g, a, b, fa, fm, fb, whole, tol, 48)
 
 
 def simpson_subordination(h, t: float, tol: float = 1e-7, h_inf: float = 0.0) -> float:

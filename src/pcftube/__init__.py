@@ -15,6 +15,7 @@ from .core import (
 from .spectral import (
     EigenBasis,
     EnergyForm,
+    NoInteriorError,
     eigen_growth_constants,
     eigensystem,
     energy_matrix,

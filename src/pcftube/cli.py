@@ -102,38 +102,46 @@ def _bcs(bc: str) -> list[str]:
     return ["dirichlet", "neumann"] if bc == "both" else [bc]
 
 
+def _spectrum_entry(form, bc: str) -> tuple[dict, np.ndarray]:
+    """Solve one boundary condition and summarize it: the report entry and the
+    eigenvalues.  The basis dies on return, before the next bc is solved."""
+    basis = spec.eigensystem(form, bc)
+    entry = {
+        "level": form.graph.level,
+        "bc": bc,
+        "n_modes": basis.n_modes,
+        "lambda_1": float(basis.eigenvalues[0]),
+        "max_residual": basis.max_residual,
+        "blocks": list(basis.blocks),
+        "supnorm_constant": spec.supnorm_ratio(basis),
+    }
+    try:
+        fit = spec.weyl_exponent(basis)
+        c1, c2 = spec.eigen_growth_constants(basis)
+        entry.update(
+            weyl_slope=fit.slope,
+            weyl_target=basis.dim / (basis.dim + 1.0),
+            growth_c1=c1,
+            growth_c2=c2,
+        )
+    except ValueError as exc:
+        entry["fit_skipped"] = str(exc)
+    return entry, basis.eigenvalues
+
+
 def _cmd_spectrum(args) -> int:
     S = _structure(args)
     levels = args.levels if args.levels else [default_level(S, args.level)]
     summary = []
     for lvl in levels:
-        graph = build_level(S, lvl, args.budget)
-        form = spec.energy_matrix(graph)
-        bases = [spec.eigensystem(form, bc) for bc in _bcs(args.bc)]
-        os.makedirs(args.out, exist_ok=True)
-        spec.export_spectrum_csv(os.path.join(args.out, f"spectrum_m{lvl}.csv"), bases)
-        for basis in bases:
-            entry = {
-                "level": lvl,
-                "bc": basis.bc,
-                "n_modes": basis.n_modes,
-                "lambda_1": float(basis.eigenvalues[0]),
-                "max_residual": basis.max_residual,
-                "blocks": list(basis.blocks),
-                "supnorm_constant": spec.supnorm_ratio(basis),
-            }
-            try:
-                fit = spec.weyl_exponent(basis)
-                c1, c2 = spec.eigen_growth_constants(basis)
-                entry.update(
-                    weyl_slope=fit.slope,
-                    weyl_target=S.dim / (S.dim + 1.0),
-                    growth_c1=c1,
-                    growth_c2=c2,
-                )
-            except ValueError as exc:
-                entry["fit_skipped"] = str(exc)
+        form = spec.energy_matrix(build_level(S, lvl, args.budget))
+        spectra = []
+        for bc in _bcs(args.bc):
+            entry, eigenvalues = _spectrum_entry(form, bc)
             summary.append(entry)
+            spectra.append((bc, eigenvalues))
+        os.makedirs(args.out, exist_ok=True)
+        spec.export_spectrum_csv(os.path.join(args.out, f"spectrum_m{lvl}.csv"), spectra)
     _write_json(os.path.join(args.out, "spectrum_report.json"), {"preset": S.name, "results": summary})
     for row in summary:
         slope = row.get("weyl_slope")
@@ -142,25 +150,32 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _kernel_tables(out: str, form, bc: str, ids: list[int], t_grid, tol: float) -> dict:
+    """Write one boundary condition's kernel table and return its report
+    entry.  The basis and its evaluator die on return, before the next bc is
+    solved."""
+    ev = ker.KernelEvaluator(spec.eigensystem(form, bc), tol)
+    points = [(x, y) for x in ids for y in ids]
+    ker.export_kernel_csv(os.path.join(out, f"kernels_{bc}.csv"), ev, t_grid, points)
+    return {
+        "t_min": ev.t_min(),
+        "achievable_tau": {repr(t): ev.tail_estimate(t) for t in t_grid},
+        "mass_at_interior": {repr(t): ev.kernel_mass(t, ids[-1]) for t in t_grid},
+    }
+
+
 def _cmd_kernel(args) -> int:
     S = _structure(args)
     lvl = default_level(S, args.level)
+    if lvl == 0:
+        print("bad level: kernel samples a corner of cell 0, so it needs --level >= 1", file=sys.stderr)
+        return EXIT_USAGE
     graph = build_level(S, lvl, args.budget)
     form = spec.energy_matrix(graph)
     os.makedirs(args.out, exist_ok=True)
     t_grid = args.t_grid or [0.1, 0.3, 1.0]
-    info = {}
-    for bc in _bcs(args.bc):
-        basis = spec.eigensystem(form, bc)
-        ev = ker.KernelEvaluator(basis, args.tol)
-        ids = sorted({int(graph.boundary_ids[0]), graph.vertex_id((0,), S.n_boundary - 1), graph.n_vertices // 2})
-        points = [(x, y) for x in ids for y in ids]
-        ker.export_kernel_csv(os.path.join(args.out, f"kernels_{bc}.csv"), ev, t_grid, points)
-        info[bc] = {
-            "t_min": ev.t_min(),
-            "achievable_tau": {repr(t): ev.tail_estimate(t) for t in t_grid},
-            "mass_at_interior": {repr(t): ev.kernel_mass(t, ids[-1]) for t in t_grid},
-        }
+    ids = sorted({int(graph.boundary_ids[0]), graph.vertex_id((0,), S.n_boundary - 1), graph.n_vertices // 2})
+    info = {bc: _kernel_tables(args.out, form, bc, ids, t_grid, args.tol) for bc in _bcs(args.bc)}
     _write_json(os.path.join(args.out, "kernel_report.json"), {"preset": S.name, "level": lvl, "bc": info})
     print(f"kernel tables written for {S.name} m={lvl}, t in {t_grid}")
     return EXIT_OK
@@ -307,6 +322,9 @@ def main(argv=None) -> int:
     except StructureError as exc:
         print(f"invalid structure config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except spec.NoInteriorError as exc:
+        print(f"bad level: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -31,13 +31,18 @@ EIG_RTOL = 1e-9
 # eigenvalues track the continuum: the Weyl and growth fits read only it.
 FIT_WINDOW = (0.05, 0.25)
 # Peak number of live n x n float64 arrays while one level's energy form and
-# both eigenbases are built: the held Dirichlet basis, the working block and
-# what eigh itself allocates (its input copy, syevd's 2 n^2 workspace and its
-# output); E is never dense.  Peak RSS over the pre-assembly RSS at sierpinski
-# m = 7 (n = 3282) is 2.4 such arrays with the D_3 split (blocks of at most
-# about n/3) and 6.2 for a structure with no symmetry (one block of n), which
-# sets the constant.
+# both eigenbases are built, as ``verify`` holds them: the held Dirichlet
+# basis, the working block and what eigh itself allocates (its input copy,
+# syevd's 2 n^2 workspace and its output); E is never dense.  Peak RSS over
+# the pre-assembly RSS at sierpinski m = 7 (n = 3282) is 2.4 such arrays with
+# the D_3 split (blocks of at most about n/3) and 6.2 for a structure with no
+# symmetry (one block of n), which sets the constant.  ``spectrum``,
+# ``kernel`` and ``fatou`` hold one basis at a time and need one array less.
 DENSE_ARRAYS = 7
+
+
+class NoInteriorError(ValueError):
+    """A Dirichlet solve was asked of a level with no interior vertex."""
 
 
 def _physical_memory_bytes() -> int:
@@ -373,7 +378,9 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
 
     Eigenvalues are ascending; each vector's sign is fixed so its largest
     magnitude component is positive; eigenvalues within roundoff of zero are
-    clamped to exactly zero so downstream sqrt weights stay real.
+    clamped to exactly zero so downstream sqrt weights stay real.  A Dirichlet
+    solve on a level with no interior vertex (level 0) raises
+    ``NoInteriorError`` before any array is built.
 
     The pencil is split by the structure's dihedral group G = D_k = <r, s>
     (``VertexGraph.symmetry_group``), whose vertex permutations P_g commute
@@ -400,6 +407,10 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     mass = graph.vertex_mass
     if np.any(mass <= 0.0):
         raise ValueError("vertex masses must be positive")
+    if bc == "dirichlet" and len(graph.boundary_ids) == graph.n_vertices:
+        raise NoInteriorError(
+            f"{graph.structure.name} level {graph.level} has no interior vertex, so no Dirichlet spectrum"
+        )
     reps = graph.orbit_representatives()
     if bc == "dirichlet":
         # the group maps V_0 onto itself, so interior orbits stay interior
@@ -452,7 +463,7 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
                 for i in range(1, v.size):
                     X += v[i] * Y[o + i * R : o + (i + 1) * R]
                 phi[group[g, reps[sl]], lo:hi] = X
-    del solved
+    del solved, Y, X
     # (P_r v)(p) = v(r^-1 p); every n x n pass runs in row blocks of about
     # 2**17 entries
     rot, rot_inv = group[1 % k], group[k - 1]
@@ -574,12 +585,14 @@ def supnorm_ratio(basis: EigenBasis) -> float:
     return float(ratio.max())
 
 
-def export_spectrum_csv(path, bases: list[EigenBasis]) -> None:
+def export_spectrum_csv(path, spectra: list[tuple[str, np.ndarray]]) -> None:
+    """Write the (bc, eigenvalues) pairs as rows n, lambda, bc; the pairs
+    carry no eigenvectors, so a caller can drop each basis once solved."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "lambda", "bc"])
-        for basis in bases:
-            for n, lam in enumerate(basis.eigenvalues, start=1):
-                writer.writerow([n, repr(float(lam)), basis.bc])
+        for bc, eigenvalues in spectra:
+            for n, lam in enumerate(eigenvalues, start=1):
+                writer.writerow([n, repr(float(lam)), bc])

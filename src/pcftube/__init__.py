@@ -16,6 +16,7 @@ from .spectral import (
     EigenBasis,
     EnergyForm,
     NoInteriorError,
+    Spectrum,
     eigen_growth_constants,
     eigensystem,
     energy_matrix,

@@ -9,6 +9,7 @@ values, 3 on invalid structure configs, 4 when the size budget is exceeded.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -103,9 +104,9 @@ def _bcs(bc: str) -> list[str]:
 
 
 def _spectrum_entry(form, bc: str) -> tuple[dict, np.ndarray]:
-    """Solve one boundary condition and summarize it: the report entry and the
-    eigenvalues.  The basis dies on return, before the next bc is solved."""
-    basis = spec.eigensystem(form, bc)
+    """Solve one boundary condition, without eigenvectors, and summarize it:
+    the report entry and the eigenvalues."""
+    basis = spec.eigensystem(form, bc, vectors=False)
     entry = {
         "level": form.graph.level,
         "bc": bc,
@@ -132,9 +133,14 @@ def _spectrum_entry(form, bc: str) -> tuple[dict, np.ndarray]:
 def _cmd_spectrum(args) -> int:
     S = _structure(args)
     levels = args.levels if args.levels else [default_level(S, args.level)]
+    # every level is built and checked before the first solve, so a bad
+    # level leaves no output behind
+    forms = [spec.energy_matrix(build_level(S, lvl, args.budget)) for lvl in levels]
+    if "dirichlet" in _bcs(args.bc):
+        for form in forms:
+            spec.require_interior(form.graph, "Dirichlet spectrum")
     summary = []
-    for lvl in levels:
-        form = spec.energy_matrix(build_level(S, lvl, args.budget))
+    for lvl, form in zip(levels, forms):
         spectra = []
         for bc in _bcs(args.bc):
             entry, eigenvalues = _spectrum_entry(form, bc)
@@ -311,6 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _trim_heap() -> None:
+    """Hand the heap's free pages back to the system (glibc ``malloc_trim``),
+    so what one command freed does not stay resident; a no-op where the C
+    library has no such function."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -328,6 +346,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        _trim_heap()
 
 
 if __name__ == "__main__":

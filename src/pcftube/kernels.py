@@ -39,8 +39,8 @@ class KernelEvaluator:
         self.mass = basis.mass
         self.d = basis.dim
         # Terms with rate * t above this are below 2^-1075 / e in magnitude
-        # (see _live); max and min avoid an n x n temporary of |V|.
-        s = max(float(self.vectors.max()), -float(self.vectors.min()))
+        # (see _live).
+        s = float(basis.sup_norms.max())
         self._cut = 1075.0 * math.log(2.0) + 2.0 * math.log(max(1.0, s)) + 1.0
         self.sup_constant = supnorm_ratio(basis)
         try:

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -30,14 +30,19 @@ EIG_RTOL = 1e-9
 # Fraction of the spectrum (lower and upper index fraction) where the discrete
 # eigenvalues track the continuum: the Weyl and growth fits read only it.
 FIT_WINDOW = (0.05, 0.25)
+# Entries of one chunk of modes in ``eigensystem``'s back-transform pass:
+# 1 MB of float64, so the pass's temporaries are a few MB at any n and none
+# grows like n x n.
+CHUNK_ENTRIES = 2**17
 # Peak number of live n x n float64 arrays while one level's energy form and
 # both eigenbases are built, as ``verify`` holds them: the held Dirichlet
 # basis, the working block and what eigh itself allocates (its input copy,
 # syevd's 2 n^2 workspace and its output); E is never dense.  Peak RSS over
 # the pre-assembly RSS at sierpinski m = 7 (n = 3282) is 2.4 such arrays with
 # the D_3 split (blocks of at most about n/3) and 6.2 for a structure with no
-# symmetry (one block of n), which sets the constant.  ``spectrum``,
-# ``kernel`` and ``fatou`` hold one basis at a time and need one array less.
+# symmetry (one block of n), which sets the constant.  ``kernel`` and
+# ``fatou`` hold one basis at a time; ``spectrum`` holds none, only the
+# block eigenvectors and chunks of CHUNK_ENTRIES entries.
 DENSE_ARRAYS = 7
 
 
@@ -64,21 +69,35 @@ class EnergyForm:
 
     @functools.cached_property
     def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row i's stencil columns nbr[i] and weights w[i], padded by column 0 at weight 0."""
+        """Slot s of row i: stencil column nbr[s, i] with weight w[s, i],
+        padded by column 0 at weight 0; one contiguous row per slot."""
         i, j, values = self.stencil
         n = self.graph.n_vertices
         counts = np.bincount(i, minlength=n)
         slot = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        nbr = np.zeros((n, counts.max()), dtype=np.intp)
+        nbr = np.zeros((counts.max(), n), dtype=np.intp)
         w = np.zeros(nbr.shape)
-        nbr[i, slot] = j
-        w[i, slot] = values
+        nbr[slot, i] = j
+        w[slot, i] = values
         return nbr, w
 
     def apply(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """(E X)[rows] for X with one row per vertex, summed on the stencil."""
+        """(E X)[rows] for X with one row per vertex, summed on the stencil
+        one neighbour slot at a time, so each entry is the same sum in the
+        same order whatever the shape of X."""
         nbr, w = self._neighbours
-        return np.einsum("ik,ik...->i...", w[rows], X[nbr[rows]])
+        nbr, w = nbr[:, rows], w[:, rows]
+        # vertices on the last axis of X.T: each slot is one gather and one
+        # product with a contiguous weight vector
+        Xt = X.T
+        out = np.take(Xt, nbr[0], axis=-1)
+        out *= w[0]
+        term = np.empty_like(out)
+        for idx, weight in zip(nbr[1:], w[1:]):
+            np.take(Xt, idx, axis=-1, out=term, mode="clip")  # clip: no buffer
+            term *= weight
+            out += term
+        return out.T
 
     def energy(self, f: np.ndarray) -> float:
         """f^T E f as the edge sum of ``_edge_energy``, in long double."""
@@ -158,25 +177,25 @@ def harmonic_extension(graph: VertexGraph, boundary_values: np.ndarray) -> np.nd
 
 
 @dataclass
-class EigenBasis:
-    """Sorted eigenpairs of one boundary condition, mass-orthonormalized.
+class Spectrum:
+    """Sorted eigenvalues of one boundary condition and the per-mode figures
+    of their mass-orthonormalized eigenvectors phi_n, without the vectors.
 
-    ``vectors`` has one column per mode on the full vertex set; Dirichlet
-    columns vanish on the boundary ids.  Normalization is
-    sum_p M(p) phi_n(p) phi_k(p) = delta_nk.  ``max_residual`` is the largest
-    relative residual max_n resid_n / (1 + lambda_n), ``blocks`` the numbers
-    (n_even, n_odd) of modes even and odd under the involution s, and
-    ``irreps`` the size of the eigh block of each irreducible representation
-    of the symmetry group (see ``_irreps``; a 2-dim one carries twice that
-    many modes), all set by ``eigensystem``.
+    ``residuals`` holds the rowwise max of |E phi_n - lambda_n M phi_n| over
+    the solved rows (Dirichlet pairs solve the pencil on interior rows only;
+    boundary rows carry the normal derivative), ``sup_norms`` max_p |phi_n(p)|,
+    ``blocks`` the numbers (n_even, n_odd) of modes even and odd under the
+    involution s, and ``irreps`` the size of the eigh block of each
+    irreducible representation of the symmetry group (see ``_irreps``; a
+    2-dim one carries twice that many modes), all set by ``eigensystem``.
     """
 
     bc: str
     graph: VertexGraph
     eigenvalues: np.ndarray
-    vectors: np.ndarray
-    mass: np.ndarray
-    max_residual: float = math.nan
+    _: KW_ONLY
+    residuals: np.ndarray
+    sup_norms: np.ndarray
     blocks: tuple[int, int] = (0, 0)
     irreps: tuple[int, ...] = ()
 
@@ -188,6 +207,11 @@ class EigenBasis:
     def dim(self) -> float:
         return self.graph.structure.dim
 
+    @property
+    def max_residual(self) -> float:
+        """The largest relative residual max_n resid_n / (1 + lambda_n)."""
+        return float((self.residuals / (1.0 + self.eigenvalues)).max())
+
     def window_indices(self) -> np.ndarray:
         """Mode indices in the FIT_WINDOW fraction of the spectrum, skipping lambda = 0."""
         lo = max(int(np.floor(FIT_WINDOW[0] * self.n_modes)), 0)
@@ -195,28 +219,18 @@ class EigenBasis:
         idx = np.arange(lo, min(hi, self.n_modes))
         return idx[self.eigenvalues[idx] > 0.0]
 
-    def residuals(self, form: EnergyForm) -> np.ndarray:
-        """Rowwise max of |E phi - lambda M phi| over the solved rows.
 
-        Dirichlet pairs solve the pencil on interior rows only; boundary rows
-        carry the (generally nonzero) normal derivative and are excluded.
-        E phi is ``form.apply`` on blocks of about 2**17 entries of the
-        result, so no n x n product is formed.
-        """
-        V = self.vectors
-        n, k = V.shape
-        if self.bc == "dirichlet":
-            rows = np.flatnonzero(self.graph.interior_mask())
-        else:
-            rows = np.arange(n)
-        out = np.zeros(k)
-        step = max(1, 2**17 // k)
-        for start in range(0, rows.size, step):
-            r = rows[start : start + step]
-            R = form.apply(V, rows=r)
-            R -= (self.mass[r, None] * V[r]) * self.eigenvalues[None, :]
-            np.maximum(out, np.abs(R).max(axis=0), out=out)
-        return out
+@dataclass
+class EigenBasis(Spectrum):
+    """A ``Spectrum`` with its eigenvectors.
+
+    ``vectors`` has one column per mode on the full vertex set; Dirichlet
+    columns vanish on the boundary ids.  Normalization is
+    sum_p M(p) phi_n(p) phi_k(p) = delta_nk.
+    """
+
+    vectors: np.ndarray
+    mass: np.ndarray
 
     def gram_deviation(self) -> float:
         """max |V^T M V - I|, with the Gram matrix formed as W^T W for
@@ -266,22 +280,10 @@ def _solve_block(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _anchor_signs(phi: np.ndarray, m_half: np.ndarray) -> np.ndarray:
     """Divide row p of phi by m_half[p] in place and return the sign of each
-    column's first entry of largest magnitude (+1 for a zero column), in one
-    sweep over blocks of about 2**17 entries, so no n x n temporary of |phi|
-    is formed."""
-    n, k = phi.shape
-    best = np.full(k, -1.0)
-    anchor = np.zeros(k, dtype=np.intp)
-    step = max(1, 2**17 // max(k, 1))
-    for start in range(0, n, step):
-        q = slice(start, start + step)
-        phi[q] /= m_half[q, None]
-        block = np.abs(phi[q])
-        top = block.max(axis=0)
-        new = np.flatnonzero(top > best)
-        anchor[new] = start + block[:, new].argmax(axis=0)
-        best[new] = top[new]
-    signs = np.sign(phi[anchor, np.arange(k)])
+    column's first entry of largest magnitude (+1 for a zero column)."""
+    phi /= m_half[:, None]
+    anchor = np.abs(phi).argmax(axis=0)
+    signs = np.sign(phi[anchor, np.arange(phi.shape[1])])
     signs[signs == 0.0] = 1.0
     return signs
 
@@ -373,14 +375,61 @@ def _irrep_block(rho: np.ndarray, parity: float, types, hat: list[dict]):
     return block, [(sl, slots, values, o) for _, sl, _, _, slots, values, o in rows]
 
 
-def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
+def _transform(layout, group: np.ndarray, reps: np.ndarray, n: int):
+    """An irrep's back-transform as index arrays (pos, terms): entry c of a
+    transformed block eigenvector y is sum_i coef_i[c] y[src_i[c]], term i
+    running over the first len(src_i) entries (the pieces with the most
+    basis vectors come first), and vertex p reads entry pos[p], a last zero
+    entry where the irrep has none.  It applies the per-slot operations of
+    ``_irrep_block``'s layout in their order."""
+    pieces = sorted(
+        ((group[g, reps[sl]], o, sl.stop - sl.start, v) for sl, slots, values, o in layout for g, v in zip(slots, values)),
+        key=lambda piece: -piece[3].size,
+    )
+    dst = np.concatenate([ids for ids, *_ in pieces])
+    pos = np.full(n, dst.size)
+    pos[dst] = np.arange(dst.size)
+    terms = []
+    for i in range(pieces[0][3].size):
+        have = [piece for piece in pieces if piece[3].size > i]
+        src = np.concatenate([o + i * R + np.arange(R) for _, o, R, _ in have])
+        coef = np.concatenate([np.full(R, v[i]) for _, _, R, v in have])
+        terms.append((src, coef))
+    return pos, terms
+
+
+def _back_transform(Yt: np.ndarray, transform, cols: np.ndarray) -> np.ndarray:
+    """The block eigenvectors ``Yt[cols]`` (one per row) transformed, one
+    column per vertex the set reaches and a last column of zeros: row
+    ``X[:, pos]`` is the mode on the vertices."""
+    _, ((src, coef), *rest) = transform
+    Yc = Yt[cols]
+    X = np.empty((cols.size, src.size + 1))
+    X[:, -1] = 0.0
+    np.multiply(np.take(Yc, src, axis=1), coef, out=X[:, :-1])
+    for src, coef in rest:
+        term = np.take(Yc, src, axis=1)
+        term *= coef
+        X[:, : src.size] += term
+    return X
+
+
+def require_interior(graph: VertexGraph, need: str) -> None:
+    """Raise ``NoInteriorError`` when every vertex of ``graph`` is a boundary
+    vertex; ``need`` names what wanted an interior vertex."""
+    if len(graph.boundary_ids) == graph.n_vertices:
+        raise NoInteriorError(f"{graph.structure.name} level {graph.level} has no interior vertex, so no {need}")
+
+
+def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis | Spectrum:
     """Solve E phi = lambda M phi for the requested boundary condition.
 
     Eigenvalues are ascending; each vector's sign is fixed so its largest
     magnitude component is positive; eigenvalues within roundoff of zero are
     clamped to exactly zero so downstream sqrt weights stay real.  A Dirichlet
     solve on a level with no interior vertex (level 0) raises
-    ``NoInteriorError`` before any array is built.
+    ``NoInteriorError`` before any array is built.  With ``vectors`` False
+    the result is the ``Spectrum`` alone and no n x n array is formed.
 
     The pencil is split by the structure's dihedral group G = D_k = <r, s>
     (``VertexGraph.symmetry_group``), whose vertex permutations P_g commute
@@ -400,6 +449,11 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     so every block is assembled from the |G| gathers A[reps, f reps] and
     solved by its own eigh.  The s-odd partner of a 2-dim mode v is
     (P_r - P_r^-1) v / (2 sin theta_j), with the same eigenvalue.
+
+    The modes are then taken in ascending order, in chunks of about
+    ``CHUNK_ENTRIES`` entries: each chunk is back-transformed, divided by
+    M^(1/2) and sign-anchored, and its stencil residuals and sup norms are
+    read while it is in cache, before it is written into ``vectors``.
     """
     if bc not in ("dirichlet", "neumann"):
         raise ValueError("bc must be 'dirichlet' or 'neumann'")
@@ -407,10 +461,8 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     mass = graph.vertex_mass
     if np.any(mass <= 0.0):
         raise ValueError("vertex masses must be positive")
-    if bc == "dirichlet" and len(graph.boundary_ids) == graph.n_vertices:
-        raise NoInteriorError(
-            f"{graph.structure.name} level {graph.level} has no interior vertex, so no Dirichlet spectrum"
-        )
+    if bc == "dirichlet":
+        require_interior(graph, "Dirichlet spectrum")
     reps = graph.orbit_representatives()
     if bc == "dirichlet":
         # the group maps V_0 onto itself, so interior orbits stay interior
@@ -426,14 +478,19 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
 
     # The gathers A[reps, f reps], shared by every block, on the stencil.
     hat = _hat(form, m_half, group, reps, types)
-    blocks, layouts = [], []
+    blocks, transforms = [], []
     for rho, parity in zip(irreps, parities):
         block, layout = _irrep_block(rho, parity, types, hat)
         blocks.append(block)
-        layouts.append(layout)
+        transforms.append(_transform(layout, group, reps, graph.n_vertices) if layout else None)
     del hat, block
-    # popped, so each block is freed once solved
-    solved = [_solve_block(blocks.pop(0)) for _ in irreps]
+    # popped, so each block is freed once solved; the eigenvectors are kept
+    # as rows, so that a chunk's gather copies whole rows
+    solved = []
+    for _ in irreps:
+        vals, Y = _solve_block(blocks.pop(0))
+        solved.append((vals, np.ascontiguousarray(Y.T)))
+        del Y
 
     # Mode sets: one per irrep, then the s-odd partner set of each 2-dim irrep.
     partners = [i for i, rho in enumerate(irreps) if rho.shape[1] == 2]
@@ -449,62 +506,74 @@ def eigensystem(form: EnergyForm, bc: str) -> EigenBasis:
     if vals[0] < 0.0:
         raise RuntimeError(f"negative eigenvalue {vals[0]!r} from a PSD pencil")
 
-    # Back to vertex coordinates in set layout, set t in the columns
-    # bounds[t]:bounds[t + 1], with zero rows off the solved vertices.  Every
-    # slot applies the same operations to its values, so mirror slots agree
-    # bit for bit up to the sign.
+    # Sorted mode q is column col_of[q] of set set_of[q]; a partner set reads
+    # its irrep's eigenvectors.  (P_r v)(p) = v(r^-1 p).
     n = graph.n_vertices
-    phi = np.zeros((n, vals.size))
-    for lo, hi, (_, Y), layout in zip(bounds, bounds[1:], solved, layouts):
-        for sl, slots, values, o in layout:
-            R = sl.stop - sl.start
-            for g, v in zip(slots, values):
-                X = v[0] * Y[o : o + R]
-                for i in range(1, v.size):
-                    X += v[i] * Y[o + i * R : o + (i + 1) * R]
-                phi[group[g, reps[sl]], lo:hi] = X
-    del solved, Y, X
-    # (P_r v)(p) = v(r^-1 p); every n x n pass runs in row blocks of about
-    # 2**17 entries
+    set_of = np.searchsorted(bounds, order, side="right") - 1
+    col_of = order - bounds[set_of]
+    source = np.array(list(range(len(irreps))) + partners)
     rot, rot_inv = group[1 % k], group[k - 1]
-    step = max(1, 2**17 // vals.size)
-    strips = [slice(start, start + step) for start in range(0, n, step)]
-    for i, j in enumerate(partners):
-        even = slice(bounds[j], bounds[j + 1])
-        odd = slice(bounds[len(irreps) + i], bounds[len(irreps) + i + 1])
-        scale = 0.5 / irreps[j][1, 1, 0]  # 1 / (2 sin theta_j)
-        for q in strips:
-            X = phi[rot_inv[q], even]
-            X -= phi[rot[q], even]
-            X *= scale
-            phi[q, odd] = X
-    signs = _anchor_signs(phi, m_half)[order]
-    # columns into ascending eigenvalue order, row block by row block
-    for q in strips:
-        np.multiply(phi[q][:, order], signs, out=phi[q])
+    # Dirichlet pairs solve the pencil on interior rows only: the boundary
+    # rows of a residual carry the normal derivative and are not read
+    unsolved = graph.boundary_ids if bc == "dirichlet" else slice(0)
 
-    sizes = np.array([v.size for v in sets])
-    basis = EigenBasis(
-        bc=bc,
-        graph=graph,
-        eigenvalues=vals,
-        vectors=phi,
-        mass=mass,
-        blocks=(int(sizes[set_parity > 0].sum()), int(sizes[set_parity < 0].sum())),
-        irreps=tuple(int(v) for v in sizes[: len(irreps)]),
-    )
+    out = np.empty((n, vals.size)) if vectors else None
+    resid, sup = np.empty(vals.size), np.empty(vals.size)
 
-    resid = basis.residuals(form)
+    def chunk(lo: int, hi: int) -> None:
+        """Sorted modes lo:hi, grouped by irrep (a 2-dim irrep's s-odd
+        partners after its own modes), one per row of phi: back-transformed,
+        divided by M^(1/2), sign-anchored, their residuals and sup norms
+        read, and written into ``out``.  A mode and its partner share one
+        back-transform."""
+        odd = set_of[lo:hi] >= len(irreps)
+        by_irrep = np.argsort(2 * source[set_of[lo:hi]] + odd, kind="stable")
+        irrep, odd = source[set_of[lo:hi]][by_irrep], odd[by_irrep]
+        starts = np.flatnonzero(np.diff(irrep, prepend=-1))
+        phi = np.empty((by_irrep.size, n))
+        for a, b in zip(starts, np.append(starts[1:], by_irrep.size)):
+            j = irrep[a]
+            cols, at = np.unique(col_of[lo:hi][by_irrep[a:b]], return_inverse=True)
+            X, pos = _back_transform(solved[j][1], transforms[j], cols), transforms[j][0]
+            m = a + np.count_nonzero(~odd[a:b])
+            np.take(X[at[: m - a]], pos, axis=1, out=phi[a:m], mode="clip")  # clip: no buffer
+            if m < b:
+                Xo = X[at[m - a :]]
+                np.subtract(np.take(Xo, pos[rot_inv], axis=1), np.take(Xo, pos[rot], axis=1), out=phi[m:b])
+                phi[m:b] *= 0.5 / irreps[j][1, 1, 0]  # 1 / (2 sin theta_j)
+        phi *= _anchor_signs(phi.T, m_half)[:, None]
+        R = form.apply(phi.T).T
+        term = mass * phi
+        term *= vals[lo:hi][by_irrep, None]
+        R -= term
+        R[:, unsolved] = 0.0
+        resid[lo + by_irrep] = np.maximum(R.max(axis=1), -R.min(axis=1))
+        # each mode's anchor entry is its largest magnitude, now positive
+        sup[lo + by_irrep] = phi.max(axis=1)
+        if out is not None:
+            out[:, lo:hi] = phi[np.argsort(by_irrep)].T
+
+    step = max(1, CHUNK_ENTRIES // n)
+    for lo in range(0, vals.size, step):
+        chunk(lo, min(lo + step, vals.size))
+
     bound = RESIDUAL_TOL * (1.0 + vals)
     if np.any(resid > bound):
         worst = int(np.argmax(resid - bound))
-        raise RuntimeError(
-            f"eigen residual {resid[worst]:.3e} at mode {worst} exceeds tolerance"
-        )
-    basis.max_residual = float((resid / (1.0 + vals)).max())
+        raise RuntimeError(f"eigen residual {resid[worst]:.3e} at mode {worst} exceeds tolerance")
     if bc == "dirichlet" and vals[0] <= 0.0:
         raise RuntimeError("Dirichlet spectrum must be strictly positive")
-    return basis
+    sizes = np.array([v.size for v in sets])
+    summary = dict(
+        bc=bc,
+        graph=graph,
+        eigenvalues=vals,
+        residuals=resid,
+        sup_norms=sup,
+        blocks=(int(sizes[set_parity > 0].sum()), int(sizes[set_parity < 0].sum())),
+        irreps=tuple(int(v) for v in sizes[: len(irreps)]),
+    )
+    return EigenBasis(vectors=out, mass=mass, **summary) if vectors else Spectrum(**summary)
 
 
 def rayleigh_quotient(basis: EigenBasis) -> float:
@@ -532,7 +601,7 @@ class WeylFit:
     n_points: int
 
 
-def weyl_exponent(basis: EigenBasis) -> WeylFit:
+def weyl_exponent(basis: Spectrum) -> WeylFit:
     """Least-squares slope of log N(lambda_n) against log lambda_n.
 
     N counts every eigenvalue of lambda_n's cluster (``_count``),
@@ -559,7 +628,7 @@ def weyl_exponent(basis: EigenBasis) -> WeylFit:
     )
 
 
-def eigen_growth_constants(basis: EigenBasis) -> tuple[float, float]:
+def eigen_growth_constants(basis: Spectrum) -> tuple[float, float]:
     """Extremes of lambda_n / n**((d+1)/d) over FIT_WINDOW."""
     idx = basis.window_indices()
     if idx.size == 0:
@@ -570,7 +639,7 @@ def eigen_growth_constants(basis: EigenBasis) -> tuple[float, float]:
     return float(ratio.min()), float(ratio.max())
 
 
-def supnorm_ratio(basis: EigenBasis) -> float:
+def supnorm_ratio(basis: Spectrum) -> float:
     """Empirical C with sup|phi_n| <= C * lambda_n**(d/(2(d+1))).
 
     All modes with lambda > 0 enter (the lambda = 0 Neumann mode is excluded).
@@ -579,9 +648,7 @@ def supnorm_ratio(basis: EigenBasis) -> float:
     if idx.size == 0:
         raise ValueError("no modes with positive eigenvalue")
     d = basis.dim
-    V = basis.vectors
-    sup = np.maximum(V.max(axis=0), -V.min(axis=0))[idx]
-    ratio = sup / basis.eigenvalues[idx] ** (d / (2.0 * (d + 1.0)))
+    ratio = basis.sup_norms[idx] / basis.eigenvalues[idx] ** (d / (2.0 * (d + 1.0)))
     return float(ratio.max())
 
 

@@ -839,6 +839,8 @@ def verify_suite(
     structure = load_structure(config if config is not None else preset)
     lvl = default_level(structure, level)
     ctx = SuiteContext(structure, lvl, tol=tol, seed=seed, budget=budget)
+    # the checks sample interior vertices; without one they cannot run
+    spec.require_interior(ctx.graph(), "checks to run")
     runner = _Runner()
     names = SUITE_NAMES if name == "all" else (name,)
     for n in names:

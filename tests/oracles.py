@@ -285,6 +285,69 @@ def dense_residuals(basis, E: np.ndarray) -> np.ndarray:
     return np.abs(R).max(axis=0)
 
 
+def stencil_residuals(form, bc: str, eigenvalues: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Per-mode max of |E phi - lambda M phi| over the solved rows (interior
+    rows for Dirichlet), E phi from one einsum over the stencil neighbours on
+    row blocks of about 2**17 entries of the whole n x k array V."""
+    graph = form.graph
+    nbr, w = form._neighbours
+    n, k = V.shape
+    rows = np.flatnonzero(graph.interior_mask()) if bc == "dirichlet" else np.arange(n)
+    out = np.zeros(k)
+    step = max(1, 2**17 // k)
+    for start in range(0, rows.size, step):
+        r = rows[start : start + step]
+        R = np.einsum("ik,ikj->ij", w[:, r].T, V[nbr[:, r].T])
+        R -= (graph.vertex_mass[r, None] * V[r]) * eigenvalues[None, :]
+        np.maximum(out, np.abs(R).max(axis=0), out=out)
+    return out
+
+
+def whole_array_tail(form, bc: str, group, reps, irreps, layouts, solved):
+    """An eigenbasis from its block solves by whole-array passes.
+
+    ``reps`` (grouped by orbit type), ``irreps``, the ``layouts`` of the
+    irrep blocks and their eigh results ``solved`` are taken as the solve
+    produced them.  Every mode is back-transformed into one n x k array in
+    set layout (one set per irrep, then the s-odd partner set of each 2-dim
+    irrep, (P_r - P_r^-1) v / (2 sin theta)), divided by M^(1/2), signed by
+    ``argmax_signs`` and sorted by one column gather.  Returns (eigenvalues,
+    vectors, residuals, sup norms, max relative residual).
+    """
+    graph = form.graph
+    n = graph.n_vertices
+    k = len(group) // (1 + (graph.structure.involution is not None))
+    partners = [i for i, rho in enumerate(irreps) if rho.shape[1] == 2]
+    sets = [vals for vals, _ in solved] + [solved[i][0] for i in partners]
+    vals = np.concatenate(sets)
+    bounds = np.cumsum([0] + [v.size for v in sets])
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
+    phi = np.zeros((n, vals.size))
+    for lo, hi, (_, Y), layout in zip(bounds, bounds[1:], solved, layouts):
+        for sl, slots, values, o in layout:
+            R = sl.stop - sl.start
+            for g, v in zip(slots, values):
+                X = v[0] * Y[o : o + R]
+                for i in range(1, v.size):
+                    X += v[i] * Y[o + i * R : o + (i + 1) * R]
+                phi[group[g, reps[sl]], lo:hi] = X
+    rot, rot_inv = group[1 % k], group[k - 1]
+    for i, j in enumerate(partners):
+        even = slice(bounds[j], bounds[j + 1])
+        odd = slice(bounds[len(irreps) + i], bounds[len(irreps) + i + 1])
+        X = phi[rot_inv, even]
+        X -= phi[rot, even]
+        X *= 0.5 / irreps[j][1, 1, 0]
+        phi[:, odd] = X
+    phi /= np.sqrt(graph.vertex_mass)[:, None]
+    V = phi[:, order] * argmax_signs(phi)[order]
+    resid = stencil_residuals(form, bc, vals, V)
+    sup = np.maximum(V.max(axis=0), -V.min(axis=0))
+    return vals, V, resid, sup, float((resid / (1.0 + vals)).max())
+
+
 def full_eigh(form, bc: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and mass-orthonormal eigenvectors (n x k, zero Dirichlet rows)
     from one eigh of the whole symmetrized block M^(-1/2) E M^(-1/2), with no

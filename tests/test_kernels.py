@@ -170,7 +170,7 @@ def test_underflow_cut_keeps_every_term_of_a_subnormal_sum():
     G = build_level(load_structure("interval"), 1)
     lam = np.array([735.0, 1075.0 * math.log(2.0) - 1.0])
     V = np.ones((G.n_vertices, 2))
-    ev = KernelEvaluator(EigenBasis("neumann", G, lam, V, G.vertex_mass))
+    ev = KernelEvaluator(EigenBasis("neumann", G, lam, V, G.vertex_mass, residuals=np.zeros(2), sup_norms=np.ones(2)))
     H = full_mode_kernel(V, lam, 1.0)
     assert 0.0 < H.min() and H.max() < np.finfo(float).tiny
     assert not np.array_equal(H, full_mode_kernel(V[:, :1], lam[:1], 1.0))
@@ -570,7 +570,13 @@ def test_t_min_reporting(stacks):
 
 
 def _truncated(basis, k):
-    return EigenBasis(basis.bc, basis.graph, basis.eigenvalues[:k], basis.vectors[:, :k], basis.mass)
+    return dataclasses.replace(
+        basis,
+        eigenvalues=basis.eigenvalues[:k],
+        vectors=basis.vectors[:, :k],
+        residuals=basis.residuals[:k],
+        sup_norms=basis.sup_norms[:k],
+    )
 
 
 def test_fixed_mode_truncation(stacks):

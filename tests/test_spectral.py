@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -32,6 +33,7 @@ from oracles import (
     gasket_lambda1,
     interval_dirichlet_lambda,
     loop_energy_matrix,
+    whole_array_tail,
 )
 
 from test_core import CENTER_CELL, REFLECTED
@@ -211,9 +213,8 @@ def test_orthonormality_and_residuals(stacks):
         for bc in ("dirichlet", "neumann"):
             b = st.basis(bc)
             assert b.gram_deviation() <= 1e-8
-            resid = b.residuals(st.form)
-            assert np.all(resid <= 1e-8 * (1.0 + b.eigenvalues))
-            assert b.max_residual == float((resid / (1.0 + b.eigenvalues)).max())
+            assert np.all(b.residuals <= 1e-8 * (1.0 + b.eigenvalues))
+            assert b.max_residual == float((b.residuals / (1.0 + b.eigenvalues)).max())
 
 
 def test_sparse_residuals_match_dense(stacks):
@@ -222,20 +223,28 @@ def test_sparse_residuals_match_dense(stacks):
         for bc in ("dirichlet", "neumann"):
             b = st.basis(bc)
             dense = dense_residuals(b, bincount_energy_matrix(st.graph))
-            assert np.abs(b.residuals(st.form) - dense).max() <= 1e-12
+            assert np.abs(b.residuals - dense).max() <= 1e-12
 
 
-def test_residuals_catch_perturbed_pair(stacks):
-    st = stacks("sierpinski", 5)
-    for bc in ("dirichlet", "neumann"):
-        b = st.basis(bc)
-        bad = dataclasses.replace(b, vectors=b.vectors.copy())
-        k, p = 5, int(np.flatnonzero(st.graph.interior_mask())[17])
-        bad.vectors[p, k] += 1e-6
-        resid = bad.residuals(st.form)
-        assert resid[k] > 1e-8 * (1.0 + b.eigenvalues[k])
-        others = np.delete(np.arange(b.n_modes), k)
-        assert np.all(resid[others] <= 1e-8 * (1.0 + b.eigenvalues[others]))
+def test_residuals_catch_perturbed_pair(stacks, monkeypatch):
+    # one entry of one block eigenvector moved by 1e-6: the pass's stencil
+    # residual of that mode exceeds the tolerance, with or without vectors
+    form = stacks("sierpinski", 5).form
+    solve = spectral._solve_block
+    for bc, vectors in itertools.product(("dirichlet", "neumann"), (True, False)):
+        for shift in (0.0, 1e-6):
+
+            def perturbed(A):
+                vals, vecs = solve(A)
+                vecs[17, 5] += shift
+                return vals, vecs
+
+            monkeypatch.setattr(spectral, "_solve_block", perturbed)
+            if shift == 0.0:
+                eigensystem(form, bc, vectors=vectors)
+            else:
+                with pytest.raises(RuntimeError, match="eigen residual .* exceeds tolerance"):
+                    eigensystem(form, bc, vectors=vectors)
 
 
 def test_residuals_skip_dirichlet_boundary_rows(stacks):
@@ -246,7 +255,7 @@ def test_residuals_skip_dirichlet_boundary_rows(stacks):
     # boundary rows carry the normal derivative, far above the tolerance
     boundary = np.abs(E[bid] @ b.vectors).max(axis=0)
     assert boundary.max() > 1.0
-    assert np.all(b.residuals(st.form) <= 1e-8 * (1.0 + b.eigenvalues))
+    assert np.all(b.residuals <= 1e-8 * (1.0 + b.eigenvalues))
 
 
 def test_eigensystem_leaves_form_untouched():
@@ -489,26 +498,94 @@ def test_dirichlet_without_interior_vertex_is_rejected(preset, monkeypatch):
 
 
 def test_eigensystem_holds_only_the_basis_when_residuals_run(monkeypatch):
-    # At the residual pass every block and its eigenvectors are released:
-    # what is held past the n x n_modes basis is O(n).  Measured at
-    # sierpinski m=6: 1.016 (Dirichlet) and 1.018 (Neumann) basis sizes; the
-    # last block's eigenvectors alone would add 0.11.
+    # While the chunk pass runs, what is held past the n x n_modes basis is
+    # the block eigenvectors it reads and a few chunks of CHUNK_ENTRIES
+    # entries: no n x n temporary.  Measured at sierpinski m=6: 2.2 and 2.0
+    # MB over the basis and the block eigenvectors (Dirichlet, Neumann); an
+    # n x n temporary would add 9.6 MB.
     form = energy_matrix(build_level(load_structure("sierpinski"), 6))
-    residuals = spectral.EigenBasis.residuals
-    held = []
+    anchor, solve = spectral._anchor_signs, spectral._solve_block
+    held, blocks = [], []
 
-    def traced_residuals(self, form):
+    def traced_anchor(phi, m_half):
         held.append(tracemalloc.get_traced_memory()[0])
-        return residuals(self, form)
+        return anchor(phi, m_half)
 
-    monkeypatch.setattr(spectral.EigenBasis, "residuals", traced_residuals)
+    def traced_solve(A):
+        vals, vecs = solve(A)
+        blocks.append(vecs.nbytes)
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "_anchor_signs", traced_anchor)
+    monkeypatch.setattr(spectral, "_solve_block", traced_solve)
     for bc in ("dirichlet", "neumann"):
+        held.clear()
+        blocks.clear()
         tracemalloc.start()
         try:
             b = eigensystem(form, bc)
         finally:
             tracemalloc.stop()
-        assert held.pop() <= 1.05 * b.vectors.nbytes
+        assert len(held) > 1
+        assert max(held) <= b.vectors.nbytes + sum(blocks) + 4 * 8 * spectral.CHUNK_ENTRIES
+
+
+def test_spectrum_peak_at_level_7_is_below_half_an_n_by_n_array():
+    # Without vectors nothing grows like n x n: the peak is the block
+    # eigenvectors and a few chunks, 0.28 of 8 n^2 bytes measured; an
+    # eigensystem holding the basis reads 1.25.
+    form = energy_matrix(build_level(load_structure("sierpinski"), 7))
+    n = form.graph.n_vertices
+    for bc in ("dirichlet", "neumann"):
+        tracemalloc.start()
+        try:
+            s = eigensystem(form, bc, vectors=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not hasattr(s, "vectors")
+        assert peak <= 0.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("preset, m", SMALL_STACKS)
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("modes", [1, 37, None], ids=["one", "37", "all"])
+def test_chunked_pass_matches_whole_array_tail(monkeypatch, preset, m, bc, modes):
+    # The chunk pass against the whole-array tail it replaced, on the same
+    # block solves, with chunks of one mode, of 37 (dividing no mode count
+    # here) and of every mode: bit for bit, with and without vectors.
+    form = energy_matrix(build_level(load_structure(preset), m))
+    n = form.graph.n_vertices
+    monkeypatch.setattr(spectral, "CHUNK_ENTRIES", n * (modes or n))
+    seen = {}
+    for name in ("_irreps", "_orbit_types", "_irrep_block", "_solve_block"):
+
+        def recording(*args, fn=getattr(spectral, name), name=name):
+            out = fn(*args)
+            seen.setdefault(name, []).append(out)
+            return out
+
+        monkeypatch.setattr(spectral, name, recording)
+    for vectors in (True, False):
+        seen.clear()
+        b = eigensystem(form, bc, vectors=vectors)
+        (reps, _), = seen["_orbit_types"]
+        layouts = [layout for _, layout in seen["_irrep_block"]]
+        vals, V, resid, sup, worst = whole_array_tail(
+            form, bc, form.graph.symmetry_group(), reps, seen["_irreps"][0], layouts, seen["_solve_block"]
+        )
+        assert modes != 37 or b.n_modes % 37 != 0
+        assert np.array_equal(b.eigenvalues, vals)
+        assert np.array_equal(b.residuals, resid)
+        assert np.array_equal(b.sup_norms, sup)
+        assert b.max_residual == worst
+        pos = vals > 0.0
+        d = form.graph.structure.dim
+        assert supnorm_ratio(b) == float((sup[pos] / vals[pos] ** (d / (2.0 * (d + 1.0)))).max())
+        if vectors:
+            assert np.array_equal(b.vectors, V)
+        else:
+            assert type(b) is spectral.Spectrum
 
 
 # -- counting and asymptotics -------------------------------------------------------------

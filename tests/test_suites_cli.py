@@ -2,11 +2,13 @@ import copy
 import json
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import pcftube.boundary as bnd
+import pcftube.cli as cli
 import pcftube.spectral as spectral
 from pcftube.cli import main
 from pcftube.core import build_level, load_structure
@@ -169,8 +171,10 @@ def test_cli_dense_budget_exit_4(tmp_path, monkeypatch, capsys):
         ["kernel", "--level", "0", "--bc", "neumann"],
         ["fatou", "--level", "0"],
         ["verify", "--level", "0"],
+        ["spectrum", "--levels", "3,0", "--bc", "both"],
+        ["verify", "--level", "0", "--suite", "core"],
     ],
-    ids=["spectrum", "kernel", "kernel-neumann", "fatou", "verify"],
+    ids=["spectrum", "kernel", "kernel-neumann", "fatou", "verify", "spectrum-levels-3-0", "verify-core"],
 )
 def test_cli_level_0_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -178,6 +182,21 @@ def test_cli_level_0_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("bad level: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_trims_the_heap_after_every_command(tmp_path, monkeypatch):
+    calls = []
+
+    def malloc_trim(pad):
+        calls.append(pad)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(malloc_trim=malloc_trim))
+    assert main(["build", "--preset", "interval", "--level", "2", "--out", str(tmp_path / "a")]) == 0
+    assert main(["spectrum", "--preset", "interval", "--levels", "2,0", "--out", str(tmp_path / "b")]) == 2
+    assert calls == [0, 0]
+    # a C library without malloc_trim: nothing to call, same exit codes
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert main(["build", "--preset", "interval", "--level", "2", "--out", str(tmp_path / "c")]) == 0
 
 
 def test_cli_level_0_neumann_spectrum(tmp_path):
@@ -300,9 +319,9 @@ def test_cli_drops_each_basis_before_the_next_solve(tmp_path, monkeypatch, argv)
     solve = spectral.eigensystem
     solved, alive = [], []
 
-    def eigensystem(form, bc):
+    def eigensystem(form, bc, **kwargs):
         alive.append(sum(ref() is not None for ref in solved))
-        basis = solve(form, bc)
+        basis = solve(form, bc, **kwargs)
         solved.append(weakref.ref(basis))
         return basis
 

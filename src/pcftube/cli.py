@@ -319,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _trim_heap() -> None:
     """Hand the heap's free pages back to the system (glibc ``malloc_trim``),
-    so what one command freed does not stay resident; a no-op where the C
-    library has no such function."""
+    so what one command freed does not stay resident through the next one run
+    in the same process; a no-op where the C library has no such function."""
     try:
         trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError, TypeError):

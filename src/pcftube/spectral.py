@@ -82,22 +82,20 @@ class EnergyForm:
         return nbr, w
 
     def apply(self, X: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """(E X)[rows] for X with one row per vertex, summed on the stencil
-        one neighbour slot at a time, so each entry is the same sum in the
-        same order whatever the shape of X."""
+        """(E x)[rows] for every vector x on the last axis of X (one row per
+        vector), summed on the stencil one neighbour slot at a time, so each
+        entry is the same sum in the same order whatever the shape of X."""
         nbr, w = self._neighbours
         nbr, w = nbr[:, rows], w[:, rows]
-        # vertices on the last axis of X.T: each slot is one gather and one
-        # product with a contiguous weight vector
-        Xt = X.T
-        out = np.take(Xt, nbr[0], axis=-1)
+        # each slot is one gather and one product with a contiguous weight vector
+        out = np.take(X, nbr[0], axis=-1)
         out *= w[0]
         term = np.empty_like(out)
         for idx, weight in zip(nbr[1:], w[1:]):
-            np.take(Xt, idx, axis=-1, out=term, mode="clip")  # clip: no buffer
+            np.take(X, idx, axis=-1, out=term, mode="clip")  # clip: no buffer
             term *= weight
             out += term
-        return out.T
+        return out
 
     def energy(self, f: np.ndarray) -> float:
         """f^T E f as the edge sum of ``_edge_energy``, in long double."""
@@ -542,7 +540,7 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
                 np.subtract(np.take(Xo, pos[rot_inv], axis=1), np.take(Xo, pos[rot], axis=1), out=phi[m:b])
                 phi[m:b] *= 0.5 / irreps[j][1, 1, 0]  # 1 / (2 sin theta_j)
         phi *= _anchor_signs(phi.T, m_half)[:, None]
-        R = form.apply(phi.T).T
+        R = form.apply(phi)
         term = mass * phi
         term *= vals[lo:hi][by_irrep, None]
         R -= term

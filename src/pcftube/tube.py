@@ -87,7 +87,7 @@ def harmonic_residual(field: TubeField, form: EnergyForm) -> ResidualReport:
     interior = graph.interior_mask()
     u = field.values
     utt = _second_divided_difference(field.t_grid, u)[:, interior]
-    lap = -form.apply(u[1:-1].T, rows=interior).T / graph.vertex_mass[interior]
+    lap = -form.apply(u[1:-1], rows=interior) / graph.vertex_mass[interior]
     per_node = np.abs(utt + lap).max(axis=1)
     return ResidualReport(
         max_residual=float(per_node.max()),

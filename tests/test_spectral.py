@@ -77,12 +77,13 @@ def test_energy_matrix_matches_dense_bincount(config, m):
     E = form.apply(np.eye(n))
     ref = bincount_energy_matrix(G)
     assert E.dtype == ref.dtype and E.tobytes() == ref.tobytes()
-    X = np.random.default_rng(3).standard_normal((n, 4))
+    # one vector per row of X
+    X = np.random.default_rng(3).standard_normal((4, n))
     tol = 1e-13 * np.abs(ref).sum(axis=1).max() * np.abs(X).max()
-    assert np.abs(form.apply(X) - ref @ X).max() <= tol
-    assert np.abs(form.apply(X[:, 0]) - ref @ X[:, 0]).max() <= tol
+    assert np.abs(form.apply(X) - X @ ref.T).max() <= tol
+    assert np.abs(form.apply(X[0]) - ref @ X[0]).max() <= tol
     rows = np.flatnonzero(G.interior_mask())
-    assert np.array_equal(form.apply(X, rows=rows), form.apply(X)[rows])
+    assert np.array_equal(form.apply(X, rows=rows), form.apply(X)[:, rows])
 
 
 def test_energy_form_peaks_far_below_one_dense_array():
@@ -245,6 +246,45 @@ def test_residuals_catch_perturbed_pair(stacks, monkeypatch):
             else:
                 with pytest.raises(RuntimeError, match="eigen residual .* exceeds tolerance"):
                     eigensystem(form, bc, vectors=vectors)
+
+
+def test_residuals_single_out_the_perturbed_mode(stacks, monkeypatch):
+    # with the gate lifted, one entry of irrep j's block eigenvector 5 moved by
+    # 1e-6 puts the residual of that mode (and of its s-odd partner, for a
+    # 2-dim irrep) over the tolerance, and no other mode's
+    form = stacks("sierpinski", 5).form
+    tol = spectral.RESIDUAL_TOL
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", np.inf)
+    solve = spectral._solve_block
+    dims = [rho.shape[1] for rho in spectral._irreps(3, True)]  # D_3: 1, 1, 2
+
+    def perturbed(j):
+        calls = itertools.count()
+
+        def solve_j(A):
+            vals, vecs = solve(A)
+            if next(calls) == j:
+                vecs[17, 5] += 1e-6
+            return vals, vecs
+
+        return solve_j
+
+    for bc in ("dirichlet", "neumann"):
+        clean = eigensystem(form, bc)
+        assert np.all(clean.residuals <= tol * (1.0 + clean.eigenvalues))
+        for j, dim in enumerate(dims):
+            monkeypatch.setattr(spectral, "_solve_block", perturbed(j))
+            b = eigensystem(form, bc)
+            hit = np.flatnonzero(np.any(b.vectors != clean.vectors, axis=0))
+            assert hit.size == dim
+            bound = tol * (1.0 + b.eigenvalues)
+            assert np.all(b.residuals[hit] > bound[hit])
+            others = np.delete(np.arange(b.n_modes), hit)
+            assert np.all(b.residuals[others] <= bound[others])
+            # the pass without vectors reads the same residuals
+            monkeypatch.setattr(spectral, "_solve_block", perturbed(j))
+            assert np.array_equal(eigensystem(form, bc, vectors=False).residuals, b.residuals)
+            monkeypatch.setattr(spectral, "_solve_block", solve)
 
 
 def test_residuals_skip_dirichlet_boundary_rows(stacks):

@@ -21,7 +21,7 @@ from . import kernels as ker
 from . import spectral as spec
 from . import tube as tb
 from .core import DEFAULT_BUDGET, BudgetError, StructureError, build_level, load_structure
-from .suites import SUITE_NAMES, default_level, verify_suite
+from .suites import MIN_LEVEL, SUITE_NAMES, default_level, verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAIL = 1
@@ -188,6 +188,10 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.level is not None and args.level < MIN_LEVEL:
+        print(f"bad level: verify addresses level-{MIN_LEVEL} words, so it needs --level >= {MIN_LEVEL}",
+              file=sys.stderr)
+        return EXIT_USAGE
     config = None
     if args.config:
         with open(args.config) as fh:

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 import pcftube.boundary as bnd
 import pcftube.cli as cli
 import pcftube.spectral as spectral
+import pcftube.suites as suites
 from pcftube.cli import main
 from pcftube.core import build_level, load_structure
 from pcftube.kernels import KernelEvaluator, export_kernel_csv
@@ -111,6 +113,70 @@ def test_report_schema_versioned():
     assert set(data["checks"][0]) == {"id", "law", "status", "value", "tolerance", "runtime_s", "reason"}
 
 
+def _runner_rule(value, bound) -> bool:
+    lo, hi = bound
+    return value is not None and math.isfinite(value) and lo <= value <= hi
+
+
+@pytest.mark.parametrize("preset", sorted(suites.DEFAULT_LEVELS))
+def test_every_status_is_the_runner_rule(monkeypatch, preset):
+    bounds = {}
+    run = suites._Runner.run
+
+    def recording_run(self, cid, law, fn, bound):
+        bounds[cid] = bound
+        run(self, cid, law, fn, bound)
+
+    monkeypatch.setattr(suites._Runner, "run", recording_run)
+    rep = verify_suite("all", preset=preset)
+    assert len(rep.checks) == 55
+    for c in rep.checks:
+        if c.status == "skip":
+            assert c.id not in bounds and c.tolerance is None
+            continue
+        lo, hi = bounds[c.id]
+        assert c.status == ("pass" if _runner_rule(c.value, (lo, hi)) else "fail"), c
+        assert c.tolerance == (hi if math.isfinite(hi) else lo if math.isfinite(lo) else None), c
+        assert (c.value is None) == (c.reason is not None), c
+
+
+@pytest.mark.parametrize(
+    "value, bound, status",
+    [
+        (math.nan, suites.FINITE, "fail"),
+        (math.nan, suites.at_most(1.0), "fail"),
+        (math.inf, suites.FINITE, "fail"),
+        (-math.inf, suites.at_most(0.0), "fail"),
+        (1e-9, suites.at_most(1e-9), "pass"),
+        (np.nextafter(1e-9, 1.0), suites.at_most(1e-9), "fail"),
+        (-1e-9, suites.at_least(-1e-9), "pass"),
+        (2.5, suites.SECOND_ORDER, "pass"),
+        (6.0, suites.SECOND_ORDER, "pass"),
+        (np.nextafter(6.0, 7.0), suites.SECOND_ORDER, "fail"),
+        (0.0, suites.POSITIVE, "fail"),
+        (5e-324, suites.POSITIVE, "pass"),
+    ],
+)
+def test_runner_rule_cases(value, bound, status):
+    r = suites._Runner()
+    r.run("x.check", "a law", lambda: value, bound)
+    (rec,) = r.checks
+    assert rec.status == status
+    assert rec.value == value or (math.isnan(rec.value) and math.isnan(value))
+    assert rec.reason is None
+
+
+def test_runner_fails_a_raising_body_with_its_reason():
+    def body():
+        raise suites.PreconditionError("cones are not nested")
+
+    r = suites._Runner()
+    r.run("x.check", "a law", body, suites.at_most(1e-9))
+    (rec,) = r.checks
+    assert (rec.status, rec.value, rec.tolerance) == ("fail", None, 1e-9)
+    assert rec.reason == "PreconditionError: cones are not nested"
+
+
 # -- CLI ------------------------------------------------------------------------------
 
 
@@ -182,6 +248,28 @@ def test_cli_level_0_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("bad level: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["interval", "sierpinski", "vicsek"])
+def test_cli_verify_level_1_exits_2(tmp_path, capsys, preset):
+    out = tmp_path / "out"
+    assert main(["verify", "--preset", preset, "--level", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad level: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level, status", [(2, "skip"), (3, "pass")])
+def test_mesh_cauchy_needs_three_distinct_levels(level, status):
+    rep = verify_suite("spectral", preset="sierpinski", level=level)
+    rec = {c.id: c for c in rep.checks}["spectral.mesh_cauchy"]
+    assert rec.status == status
+    assert (rec.reason is not None) == (status == "skip")
+
+
+def test_verify_suite_refuses_level_1():
+    with pytest.raises(ValueError, match="level >= 2"):
+        verify_suite("core", preset="sierpinski", level=1)
 
 
 def test_cli_trims_the_heap_after_every_command(tmp_path, monkeypatch):

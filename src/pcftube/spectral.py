@@ -6,8 +6,8 @@ only as its stencil (``EnergyForm``).  Eigenpairs of E phi = lambda M phi (M
 the diagonal lumped mass) are obtained by symmetrizing with M^(-1/2) and
 running a dense symmetric solver on one block per irreducible representation
 of the structure's dihedral symmetry group, the only n x n arrays built here;
-for the Dirichlet condition the boundary rows and columns are removed first
-and the eigenvectors are re-embedded with zeros on the boundary.
+for the Dirichlet condition the orbit-adapted bases have no entry on the
+boundary, so the blocks omit its rows and the eigenvectors vanish there.
 """
 
 from __future__ import annotations
@@ -312,103 +312,60 @@ def _orbit_types(group: np.ndarray, reps: np.ndarray, k: int):
     return reps, types
 
 
-def _hat(form: EnergyForm, m_half: np.ndarray, group: np.ndarray, reps: np.ndarray, types) -> list[dict]:
-    """The gathers A[reps, f reps], f running over the group rows, as lists of
-    nonzeros split by orbit type: hat[f][t, t2] = (a, b, values) holds the
-    entries A[reps[sl][a], f reps[sl2][b]] for the types sl = types[t][0] and
-    sl2 = types[t2][0], with A = M^(-1/2) E M^(-1/2) read off the stencil.
-    """
-    rows, cols, values = form.stencil
-    pos = np.full(form.graph.n_vertices, -1, dtype=np.intp)
-    pos[reps] = np.arange(reps.size)
-    # the types' slices tile reps in order
-    kind = np.repeat(np.arange(len(types)), [sl.stop - sl.start for sl, *_ in types])
-    scaled = values / m_half[rows] / m_half[cols]
-    hat = []
-    for row in group:
-        a, b = pos[rows], pos[np.argsort(row)[cols]]
-        on = (a >= 0) & (b >= 0)
-        a, b, v = a[on], b[on], scaled[on]
-        entries = {}
-        for (t, (sl, *_)), (t2, (sl2, *_)) in itertools.product(enumerate(types), repeat=2):
-            sel = (kind[a] == t) & (kind[b] == t2)
-            entries[t, t2] = (a[sel] - sl.start, b[sel] - sl2.start, v[sel])
-        hat.append(entries)
-    return hat
+def _irrep_basis(rho: np.ndarray, parity: float, group: np.ndarray, reps: np.ndarray, types, n: int):
+    """U, the orthonormal basis of the first-row component of rho, in slot
+    form (cols, coef, size): U is n x size and vertex p has the entry
+    coef[i, p] in column cols[i, p] for every slot i < k <= dim rho, with
+    coefficient 0 where p has fewer than k entries (every vertex off the
+    solved set among them).
 
-
-def _irrep_block(rho: np.ndarray, parity: float, types, hat: list[dict]):
-    """The block of A on the first-row component of rho, and its layout.
-
-    For each orbit type with H-fixed vectors in rho, b is an orthonormal basis
-    of them and values[c] = (rho(g_c) b)_1 sqrt(d / |orbit|) the entries of the
-    basis vectors on slot c; the layout lists (sl, slots, values, offset), the
-    rows of local basis vector i being offset + i * len(reps[sl]) onward.
+    For each orbit type, with stabilizer H and b an orthonormal basis of the
+    H-fixed vectors of rho, column o + i * len(reps[sl]) + r of U is
+    u_(x, b_i) for the rep x = reps[sl][r]: the entry (rho(g_c) b)[0, i]
+    sqrt(d / |orbit|) on the point g_c x of slot c, averaged with its s-image.
     """
     d = rho.shape[1]
-    rows, size = [], 0
-    for t, (sl, fixed, slots, mirror) in enumerate(types):
-        U, sv, _ = np.linalg.svd(rho[fixed].mean(axis=0))
-        b = U[:, sv > 0.5]
-        if b.shape[1] == 0:
-            continue
-        values = (rho[slots] @ b)[:, 0] * math.sqrt(d / slots.size)
+    pieces, size = [], 0
+    for sl, fixed, slots, mirror in types:
+        vecs, sv, _ = np.linalg.svd(rho[fixed].mean(axis=0))
+        values = (rho[slots] @ vecs[:, sv > 0.5])[:, 0] * math.sqrt(d / slots.size)
         # averaged with the s-image: every mode is bitwise s-even or s-odd
         values = (values + parity * values[mirror]) * 0.5
-        rows.append((t, sl, fixed, b, slots, values, size))
-        size += b.shape[1] * (sl.stop - sl.start)
+        pieces.append((group[slots[:, None], reps[sl]], values, size))
+        size += values.shape[1] * (sl.stop - sl.start)
+    k = max(values.shape[1] for _, values, _ in pieces)
+    cols, coef = np.zeros((k, n), dtype=np.intp), np.zeros((k, n))
+    for ids, values, o in pieces:
+        R = ids.shape[1]
+        for i in range(values.shape[1]):
+            cols[i, ids] = o + i * R + np.arange(R)
+            coef[i, ids] = values[:, i, None]
+    return cols, coef, size
+
+
+def _block(form: EnergyForm, m_half: np.ndarray, basis) -> np.ndarray:
+    """U^T A U for A = M^(-1/2) E M^(-1/2): for every pair of slots (i, i2),
+    the stencil entries A[p, q] coef[i, p] coef[i2, q] added in stencil order
+    at (cols[i, p], cols[i2, q])."""
+    cols, coef, size = basis
+    rows, nbrs, values = form.stencil
+    scaled = values / m_half[rows] / m_half[nbrs]
     block = np.zeros((size, size))
-    for t, sl, fixed, b, _, _, o in rows:
-        R = sl.stop - sl.start
-        for t2, sl2, fixed2, b2, _, _, o2 in rows:
-            R2 = sl2.stop - sl2.start
-            coef = b.T @ rho @ b2 * math.sqrt(1.0 / (fixed.size * fixed2.size))
-            for i, i2 in np.ndindex(coef.shape[1:]):
-                sub = block[o + i * R : o + (i + 1) * R, o2 + i2 * R2 : o2 + (i2 + 1) * R2]
-                # a COO scatter adds what the dense sum adds: the entries off
-                # the stencil would only add zeros
-                for f in np.flatnonzero(coef[:, i, i2]):
-                    a, a2, v = hat[f][t, t2]
-                    sub[a, a2] += coef[f, i, i2] * v
-    return block, [(sl, slots, values, o) for _, sl, _, _, slots, values, o in rows]
+    for (c, w), (c2, w2) in itertools.product(zip(cols, coef), repeat=2):
+        np.add.at(block, (c[rows], c2[nbrs]), w[rows] * scaled * w2[nbrs])
+    return block
 
 
-def _transform(layout, group: np.ndarray, reps: np.ndarray, n: int):
-    """An irrep's back-transform as index arrays (pos, terms): entry c of a
-    transformed block eigenvector y is sum_i coef_i[c] y[src_i[c]], term i
-    running over the first len(src_i) entries (the pieces with the most
-    basis vectors come first), and vertex p reads entry pos[p], a last zero
-    entry where the irrep has none.  It applies the per-slot operations of
-    ``_irrep_block``'s layout in their order."""
-    pieces = sorted(
-        ((group[g, reps[sl]], o, sl.stop - sl.start, v) for sl, slots, values, o in layout for g, v in zip(slots, values)),
-        key=lambda piece: -piece[3].size,
-    )
-    dst = np.concatenate([ids for ids, *_ in pieces])
-    pos = np.full(n, dst.size)
-    pos[dst] = np.arange(dst.size)
-    terms = []
-    for i in range(pieces[0][3].size):
-        have = [piece for piece in pieces if piece[3].size > i]
-        src = np.concatenate([o + i * R + np.arange(R) for _, o, R, _ in have])
-        coef = np.concatenate([np.full(R, v[i]) for _, _, R, v in have])
-        terms.append((src, coef))
-    return pos, terms
-
-
-def _back_transform(Yt: np.ndarray, transform, cols: np.ndarray) -> np.ndarray:
-    """The block eigenvectors ``Yt[cols]`` (one per row) transformed, one
-    column per vertex the set reaches and a last column of zeros: row
-    ``X[:, pos]`` is the mode on the vertices."""
-    _, ((src, coef), *rest) = transform
-    Yc = Yt[cols]
-    X = np.empty((cols.size, src.size + 1))
-    X[:, -1] = 0.0
-    np.multiply(np.take(Yc, src, axis=1), coef, out=X[:, :-1])
-    for src, coef in rest:
-        term = np.take(Yc, src, axis=1)
-        term *= coef
-        X[:, : src.size] += term
+def _expand(basis, Y: np.ndarray) -> np.ndarray:
+    """The rows of Y (block eigenvectors, one per row) as modes on the
+    vertices, Y U^T: sum over the slots i of coef[i] * Y[:, cols[i]]."""
+    cols, coef, _ = basis
+    X = np.take(Y, cols[0], axis=1)
+    X *= coef[0]
+    for idx, weight in zip(cols[1:], coef[1:]):
+        term = np.take(Y, idx, axis=1)
+        term *= weight
+        X += term
     return X
 
 
@@ -437,16 +394,13 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
 
         u_(x,b) = sqrt(d / |orbit|) sum over points g x of (rho(g) b)_1 e_(g x),
 
-    b running over an orthonormal basis of the H-fixed vectors of rho, are an
-    orthonormal basis of the first-row component of rho, and by
-    A[g x, h y] = A[x, g^-1 h y]
-
-        u_(x,b)^T A u_(y,b') = sum over f in G of
-            b^T rho(f) b' / sqrt(|H_x| |H_y|) * A[x, f y],
-
-    so every block is assembled from the |G| gathers A[reps, f reps] and
-    solved by its own eigh.  The s-odd partner of a 2-dim mode v is
-    (P_r - P_r^-1) v / (2 sin theta_j), with the same eigenvalue.
+    b running over an orthonormal basis of the H-fixed vectors of rho, are
+    the columns of an orthonormal basis U of the first-row component of rho
+    (``_irrep_basis``).  A maps that component into itself, so each block
+    U^T A U (``_block``) is solved by its own eigh, and a block eigenvector y
+    is the mode U y on the vertices (``_expand``).  The s-odd partner of a
+    2-dim mode v is (P_r - P_r^-1) v / (2 sin theta_j), with the same
+    eigenvalue.
 
     The modes are then taken in ascending order, in chunks of about
     ``CHUNK_ENTRIES`` entries: each chunk is back-transformed, divided by
@@ -472,21 +426,14 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
     # the sign of s on each irrep's modes (+1 without s: group row k % |G| = 0)
     parities = [rho[k % group.shape[0], 0, 0] for rho in irreps]
     m_half = np.sqrt(mass)
+    n = graph.n_vertices
     reps, types = _orbit_types(group, reps, k)
-
-    # The gathers A[reps, f reps], shared by every block, on the stencil.
-    hat = _hat(form, m_half, group, reps, types)
-    blocks, transforms = [], []
-    for rho, parity in zip(irreps, parities):
-        block, layout = _irrep_block(rho, parity, types, hat)
-        blocks.append(block)
-        transforms.append(_transform(layout, group, reps, graph.n_vertices) if layout else None)
-    del hat, block
-    # popped, so each block is freed once solved; the eigenvectors are kept
-    # as rows, so that a chunk's gather copies whole rows
+    bases = [_irrep_basis(rho, parity, group, reps, types, n) for rho, parity in zip(irreps, parities)]
+    # each block is built just before its eigh and freed once solved; the
+    # eigenvectors are kept as rows, so that a chunk's gather copies whole rows
     solved = []
-    for _ in irreps:
-        vals, Y = _solve_block(blocks.pop(0))
+    for basis in bases:
+        vals, Y = _solve_block(_block(form, m_half, basis))
         solved.append((vals, np.ascontiguousarray(Y.T)))
         del Y
 
@@ -506,7 +453,6 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
 
     # Sorted mode q is column col_of[q] of set set_of[q]; a partner set reads
     # its irrep's eigenvectors.  (P_r v)(p) = v(r^-1 p).
-    n = graph.n_vertices
     set_of = np.searchsorted(bounds, order, side="right") - 1
     col_of = order - bounds[set_of]
     source = np.array(list(range(len(irreps))) + partners)
@@ -532,12 +478,12 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
         for a, b in zip(starts, np.append(starts[1:], by_irrep.size)):
             j = irrep[a]
             cols, at = np.unique(col_of[lo:hi][by_irrep[a:b]], return_inverse=True)
-            X, pos = _back_transform(solved[j][1], transforms[j], cols), transforms[j][0]
+            X = _expand(bases[j], solved[j][1][cols])
             m = a + np.count_nonzero(~odd[a:b])
-            np.take(X[at[: m - a]], pos, axis=1, out=phi[a:m], mode="clip")  # clip: no buffer
+            np.take(X, at[: m - a], axis=0, out=phi[a:m], mode="clip")  # clip: no buffer
             if m < b:
                 Xo = X[at[m - a :]]
-                np.subtract(np.take(Xo, pos[rot_inv], axis=1), np.take(Xo, pos[rot], axis=1), out=phi[m:b])
+                np.subtract(np.take(Xo, rot_inv, axis=1), np.take(Xo, rot, axis=1), out=phi[m:b])
                 phi[m:b] *= 0.5 / irreps[j][1, 1, 0]  # 1 / (2 sin theta_j)
         phi *= _anchor_signs(phi.T, m_half)[:, None]
         R = form.apply(phi)

@@ -303,16 +303,17 @@ def stencil_residuals(form, bc: str, eigenvalues: np.ndarray, V: np.ndarray) -> 
     return out
 
 
-def whole_array_tail(form, bc: str, group, reps, irreps, layouts, solved):
+def whole_array_tail(form, bc: str, group, irreps, bases, solved):
     """An eigenbasis from its block solves by whole-array passes.
 
-    ``reps`` (grouped by orbit type), ``irreps``, the ``layouts`` of the
-    irrep blocks and their eigh results ``solved`` are taken as the solve
-    produced them.  Every mode is back-transformed into one n x k array in
-    set layout (one set per irrep, then the s-odd partner set of each 2-dim
-    irrep, (P_r - P_r^-1) v / (2 sin theta)), divided by M^(1/2), signed by
-    ``argmax_signs`` and sorted by one column gather.  Returns (eigenvalues,
-    vectors, residuals, sup norms, max relative residual).
+    ``irreps``, the slot bases ``(cols, coef, size)`` of the irreps and
+    their eigh results ``solved`` are taken as the solve produced them.
+    Every mode is back-transformed into one n x k array in set layout (one
+    set per irrep, then the s-odd partner set of each 2-dim irrep,
+    (P_r - P_r^-1) v / (2 sin theta)) by one gather per slot over the whole
+    array, divided by M^(1/2), signed by ``argmax_signs`` and sorted by one
+    column gather.  Returns (eigenvalues, vectors, residuals, sup norms, max
+    relative residual).
     """
     graph = form.graph
     n = graph.n_vertices
@@ -325,14 +326,12 @@ def whole_array_tail(form, bc: str, group, reps, irreps, layouts, solved):
     vals = vals[order]
     vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
     phi = np.zeros((n, vals.size))
-    for lo, hi, (_, Y), layout in zip(bounds, bounds[1:], solved, layouts):
-        for sl, slots, values, o in layout:
-            R = sl.stop - sl.start
-            for g, v in zip(slots, values):
-                X = v[0] * Y[o : o + R]
-                for i in range(1, v.size):
-                    X += v[i] * Y[o + i * R : o + (i + 1) * R]
-                phi[group[g, reps[sl]], lo:hi] = X
+    for lo, hi, (_, Y), (cols, coef, _) in zip(bounds, bounds[1:], solved, bases):
+        if hi > lo:
+            X = coef[0][:, None] * Y[cols[0]]
+            for c, w in zip(cols[1:], coef[1:]):
+                X += w[:, None] * Y[c]
+            phi[:, lo:hi] = X
     rot, rot_inv = group[1 % k], group[k - 1]
     for i, j in enumerate(partners):
         even = slice(bounds[j], bounds[j + 1])
@@ -346,6 +345,55 @@ def whole_array_tail(form, bc: str, group, reps, irreps, layouts, solved):
     resid = stencil_residuals(form, bc, vals, V)
     sup = np.maximum(V.max(axis=0), -V.min(axis=0))
     return vals, V, resid, sup, float((resid / (1.0 + vals)).max())
+
+
+def dense_slot_basis(cols, coef, size: int) -> np.ndarray:
+    """The n x size matrix U of a slot basis: U[p, cols[i, p]] = coef[i, p]."""
+    U = np.zeros((cols.shape[1], size))
+    i, p = np.nonzero(coef)
+    U[p, cols[i, p]] = coef[i, p]
+    return U
+
+
+def isotypic_projector(group, rho, keep) -> np.ndarray:
+    """(d / |G|) sum over g of rho(g)_11 P_g on the vertices ``keep`` (a mask
+    the group maps onto itself), zero elsewhere: the orthogonal projector onto
+    the component of the permutation representation that transforms like
+    rho's first basis vector (Serre, section 2.7), P_g e_x = e_(g x)."""
+    n = group.shape[1]
+    P = np.zeros((n, n))
+    for g, row in enumerate(group):
+        P[row, np.arange(n)] += rho[g, 0, 0]
+    P *= rho.shape[1] / len(group)
+    P[~keep] = 0.0
+    P[:, ~keep] = 0.0
+    return P
+
+
+def layout_back_transform(rho, parity: float, group, reps, types, Y) -> np.ndarray:
+    """Block vectors Y (one per column) on the vertices, written orbit type by
+    orbit type and slot by slot, as the per-type layout of the block solver
+    wrote them before the slot basis: with b an orthonormal basis of rho's
+    vectors fixed by the type's stabilizer and v = (rho(g_c) b)_1
+    sqrt(d / |orbit|) averaged with its s-image, the points g_c reps of slot
+    c get sum_i v[i] Y[o + i R + r]."""
+    d = rho.shape[1]
+    phi = np.zeros((group.shape[1], Y.shape[1]))
+    o = 0
+    for sl, fixed, slots, mirror in types:
+        U, sv, _ = np.linalg.svd(rho[fixed].mean(axis=0))
+        b = U[:, sv > 0.5]
+        values = (rho[slots] @ b)[:, 0] * math.sqrt(d / slots.size)
+        values = (values + parity * values[mirror]) * 0.5
+        R = sl.stop - sl.start
+        for g, v in zip(slots, values):
+            if v.size:
+                X = v[0] * Y[o : o + R]
+                for i in range(1, v.size):
+                    X += v[i] * Y[o + i * R : o + (i + 1) * R]
+                phi[group[g, reps[sl]]] = X
+        o += b.shape[1] * R
+    return phi
 
 
 def full_eigh(form, bc: str) -> tuple[np.ndarray, np.ndarray]:

@@ -28,10 +28,13 @@ from oracles import (
     decimation_branch,
     dense_harmonic_extension,
     dense_residuals,
+    dense_slot_basis,
     full_eigh,
     gasket_brute_dirichlet_matrix,
     gasket_lambda1,
     interval_dirichlet_lambda,
+    isotypic_projector,
+    layout_back_transform,
     loop_energy_matrix,
     whole_array_tail,
 )
@@ -598,7 +601,7 @@ def test_chunked_pass_matches_whole_array_tail(monkeypatch, preset, m, bc, modes
     n = form.graph.n_vertices
     monkeypatch.setattr(spectral, "CHUNK_ENTRIES", n * (modes or n))
     seen = {}
-    for name in ("_irreps", "_orbit_types", "_irrep_block", "_solve_block"):
+    for name in ("_irreps", "_irrep_basis", "_block", "_solve_block"):
 
         def recording(*args, fn=getattr(spectral, name), name=name):
             out = fn(*args)
@@ -609,10 +612,12 @@ def test_chunked_pass_matches_whole_array_tail(monkeypatch, preset, m, bc, modes
     for vectors in (True, False):
         seen.clear()
         b = eigensystem(form, bc, vectors=vectors)
-        (reps, _), = seen["_orbit_types"]
-        layouts = [layout for _, layout in seen["_irrep_block"]]
+        bases, solved = seen["_irrep_basis"], seen["_solve_block"]
+        # one block per basis, of its size, built and solved in irrep order
+        assert [block.shape for block in seen["_block"]] == [(size, size) for *_, size in bases]
+        assert [Y.shape for _, Y in solved] == [(size, size) for *_, size in bases]
         vals, V, resid, sup, worst = whole_array_tail(
-            form, bc, form.graph.symmetry_group(), reps, seen["_irreps"][0], layouts, seen["_solve_block"]
+            form, bc, form.graph.symmetry_group(), seen["_irreps"][0], bases, solved
         )
         assert modes != 37 or b.n_modes % 37 != 0
         assert np.array_equal(b.eigenvalues, vals)
@@ -626,6 +631,71 @@ def test_chunked_pass_matches_whole_array_tail(monkeypatch, preset, m, bc, modes
             assert np.array_equal(b.vectors, V)
         else:
             assert type(b) is spectral.Spectrum
+
+
+# The small levels where the permutation representation misses an irrep, so
+# that its basis and block are empty.
+EMPTY_IRREP = {
+    ("interval", 1, "dirichlet"),
+    ("sierpinski", 0, "neumann"),
+    ("sierpinski", 1, "dirichlet"),
+    ("sierpinski", 1, "neumann"),
+    ("vicsek", 0, "neumann"),
+}
+
+
+@pytest.mark.parametrize(
+    "preset, m, bc",
+    [(preset, m, bc) for preset, m in SMALL_STACKS for bc in ("dirichlet", "neumann")]
+    + [(preset, 0, "neumann") for preset, _ in SMALL_STACKS]
+    + [(preset, 1, bc) for preset, _ in SMALL_STACKS for bc in ("dirichlet", "neumann")],
+)
+def test_irrep_basis_against_dense_oracles(monkeypatch, preset, m, bc):
+    # Each slot basis U, made dense, is orthonormal and spans the component
+    # of its irrep (U U^T is the isotypic projector), the components tile the
+    # solved vertices, _block is the dense U^T A U and _expand is the per-type
+    # back-transform of the earlier layout, bit for bit.
+    form = energy_matrix(build_level(load_structure(preset), m))
+    graph = form.graph
+    n = graph.n_vertices
+    calls, blocks = [], []
+    irrep_basis, block = spectral._irrep_basis, spectral._block
+
+    def recording_basis(*args):
+        calls.append((args, irrep_basis(*args)))
+        return calls[-1][1]
+
+    def recording_block(*args):
+        out = block(*args)
+        blocks.append(out.copy())  # before _solve_block symmetrizes it in place
+        return out
+
+    monkeypatch.setattr(spectral, "_irrep_basis", recording_basis)
+    monkeypatch.setattr(spectral, "_block", recording_block)
+    eigensystem(form, bc, vectors=False)
+    keep = graph.interior_mask() if bc == "dirichlet" else np.ones(n, dtype=bool)
+    m_half = np.sqrt(graph.vertex_mass)
+    A = bincount_energy_matrix(graph) / m_half[:, None] / m_half[None, :]
+    rng = np.random.default_rng(25)
+    sizes = []
+    for ((rho, parity, group, reps, types, _), basis), B in zip(calls, blocks, strict=True):
+        cols, coef, size = basis
+        assert cols.shape == coef.shape and cols.shape[0] <= rho.shape[1] and cols.shape[1] == n
+        assert not np.any(coef[:, ~keep])
+        U = dense_slot_basis(cols, coef, size)
+        assert np.all(np.abs(U.T @ U - np.eye(size)) <= 1e-15)
+        assert np.all(np.abs(U @ U.T - isotypic_projector(group, rho, keep)) <= 1e-15)
+        ref = U.T @ A @ U
+        assert B.shape == ref.shape
+        # relative to the largest entry of A; 3.1e-16 measured
+        assert np.all(np.abs(B - ref) <= 1e-15 * np.abs(A).max())
+        if size:
+            Y = rng.standard_normal((size, 5))
+            ref = layout_back_transform(rho, parity, group, reps, types, Y)
+            assert np.array_equal(spectral._expand(basis, Y.T), ref.T)
+        sizes.append(rho.shape[1] * size)
+    assert sum(sizes) == np.count_nonzero(keep)
+    assert (0 in sizes) == ((preset, m, bc) in EMPTY_IRREP)
 
 
 # -- counting and asymptotics -------------------------------------------------------------

@@ -47,6 +47,20 @@ def test_all_suite_passes_on_small_interval():
     assert rep.passed, failed
 
 
+@pytest.mark.parametrize("preset, level", [("interval", m) for m in (2, 3, 4, 5)] + [("sierpinski", 2), ("vicsek", 2)])
+def test_all_suites_have_no_failure_at_the_smallest_levels(preset, level):
+    # A check the level cannot resolve skips with its reason: the smallest
+    # ball of boundary.ball_mass_lower is one vertex at interval m <= 4 and
+    # sierpinski m = 2, and the Weyl window holds 7 eigenvalues at interval m = 5.
+    rep = verify_suite("all", preset=preset, level=level)
+    assert [c.id for c in rep.checks if c.status == "fail"] == []
+    assert all(c.reason for c in rep.checks if c.status == "skip")
+    status = {c.id: c.status for c in rep.checks}
+    resolved = (preset, level) in (("interval", 5), ("vicsek", 2))
+    assert status["boundary.ball_mass_lower"] == ("pass" if resolved else "skip")
+    assert status["spectral.weyl"] == "skip"
+
+
 def test_suite_reports_are_deterministic():
     a = verify_suite("tube", preset="interval", level=6, seed=11)
     b = verify_suite("tube", preset="interval", level=6, seed=11)

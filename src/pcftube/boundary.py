@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ResistanceMetric, VertexGraph
+from .core import ResistanceMetric, VertexGraph, word_products
 from .kernels import KernelEvaluator, two_branch_bound
 
 
@@ -190,6 +190,24 @@ def shifted_kernel_constant(
     return best
 
 
+def ball_radius(alpha: float, t: float, d: float) -> float:
+    """Radius (alpha t^2)^(1/(d+1)) of the ball matched to time t."""
+    return (alpha * t * t) ** (1.0 / (d + 1.0))
+
+
+def resolution_radius(graph: VertexGraph, x: int) -> float:
+    """Least resistance bound from x to another vertex that the level's cells
+    give, without a metric: a level-m cell w holding x at corner p is the
+    network -D scaled by r_w, so R(x, F_w(q)) <= r_w R_0(p, q) (Rayleigh
+    monotonicity).  A ball about x of a larger radius holds a second vertex."""
+    S = graph.structure
+    R0 = S.harmonic.resistances()
+    np.fill_diagonal(R0, np.inf)
+    cells, corners = np.nonzero(graph.cells == x)
+    r_w = word_products(S.harmonic.r, graph.level)[cells]
+    return float((r_w * R0[corners].min(axis=1)).min())
+
+
 def ball_mass_lower(
     ev: KernelEvaluator,
     metric: ResistanceMetric,
@@ -197,7 +215,7 @@ def ball_mass_lower(
     alpha: float,
     t_ladder,
 ) -> np.ndarray:
-    """Integral of P^N(t,x,.) over the ball of radius (alpha t^2)^(1/(d+1)).
+    """Integral of P^N(t,x,.) over the ball of radius ``ball_radius(alpha, t, d)``.
 
     Raises if some requested ball collapses to the apex alone, meaning the
     radius fell below the level resolution.
@@ -207,7 +225,7 @@ def ball_mass_lower(
     ts = np.asarray(list(t_ladder), dtype=float)
     out = np.empty(ts.size)
     for i, t in enumerate(ts):
-        radius = (alpha * t * t) ** (1.0 / (d + 1.0))
+        radius = ball_radius(alpha, t, d)
         ids, _ = metric.ball(x, radius)
         if ids.size <= 1:
             raise ValueError(f"ball of radius {radius:.3e} is below the level resolution")

@@ -90,6 +90,12 @@ class HarmonicStructure:
         if np.any(r <= 0.0) or np.any(r >= 1.0):
             raise StructureError("harmonic structure is not regular: need 0 < r_i < 1")
 
+    def resistances(self) -> np.ndarray:
+        """Effective resistances between the boundary points in the network -D."""
+        G = np.linalg.pinv(-np.asarray(self.D, dtype=float), hermitian=True)
+        g = np.diag(G)
+        return g[:, None] + g[None, :] - 2.0 * G
+
 
 def similarity_dimension(r: Sequence[float], tol: float = 1e-12) -> float:
     """Unique d > 0 with sum_i r_i**d = 1, located by safeguarded bisection.

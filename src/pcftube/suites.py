@@ -243,28 +243,16 @@ class SuiteContext:
         """Deterministic test functions defined by addresses, hence
         comparable across levels."""
         graph = self.graph()
+        cells = [(f"cell{s}", (s,)) for s in range(self.structure.n_symbols)] + [("cell00", (0, 0))]
         fam = [("const", np.ones(graph.n_vertices))]
-        for s in range(self.structure.n_symbols):
-            ind = np.zeros(graph.n_vertices)
-            ids = graph.cells[graph.cells_with_prefix((s,))].ravel()
-            ind[ids] = 1.0
-            fam.append((f"cell{s}", ind))
-        ind2 = np.zeros(graph.n_vertices)
-        ids2 = graph.cells[graph.cells_with_prefix((0, 0))].ravel()
-        ind2[ids2] = 1.0
-        fam.append(("cell00", ind2))
-        fam.append(("coord", graph.coords[:, 0].copy()))
-        return fam
+        fam += [(name, bnd.BoundarySet(graph, [w]).vertex_indicator.astype(float)) for name, w in cells]
+        return fam + [("coord", graph.coords[:, 0].copy())]
 
     def sample_vertices(self) -> list[int]:
         """Level-2 lattice points, addressed so they exist at every level >= 2."""
         graph = self.graph()
-        seen = {}
-        for w in [(), (0,), (1,)] + [(a, b) for a in range(self.structure.n_symbols) for b in (0, 1)]:
-            for p in range(self.structure.n_boundary):
-                vid = graph.vertex_id(w, p)
-                seen[vid] = True
-        return sorted(seen)
+        words = [(), (0,), (1,)] + [(a, b) for a in range(self.structure.n_symbols) for b in (0, 1)]
+        return sorted({graph.vertex_id(w, p) for w in words for p in range(self.structure.n_boundary)})
 
 
 def _second_order_ratio(ctx: SuiteContext, data) -> float:
@@ -331,13 +319,12 @@ def _core_suite(ctx: SuiteContext, r: _Runner) -> None:
 
     def boundary_trace():
         met = ctx.metric()
-        R0 = np.linalg.pinv(-np.asarray(S.harmonic.D, dtype=float), hermitian=True)
+        R0 = S.harmonic.resistances()
         bid = graph.boundary_ids
         dev = 0.0
         for a in range(S.n_boundary):
             for b in range(a + 1, S.n_boundary):
-                expect = R0[a, a] + R0[b, b] - 2.0 * R0[a, b]
-                dev = max(dev, abs(met.matrix()[bid[a], bid[b]] - expect))
+                dev = max(dev, abs(met.matrix()[bid[a], bid[b]] - R0[a, b]))
         return dev
 
     r.run("core.boundary_trace", "level-m boundary resistances equal the level-0 network", boundary_trace, at_most(1e-9))
@@ -487,15 +474,8 @@ def _kernels_suite(ctx: SuiteContext, r: _Runner) -> None:
         r.skip("kernels.positivity", "kernels stay nonnegative up to the tail tolerance",
                "tail tolerance too loose to resolve the kernel sign")
     else:
-        def positivity():
-            low = 0.0
-            for ev in (evD, evN):
-                for t in ladder:
-                    low = min(low, ker.kernel_min(ev, t))
-            return low
-
-        r.run("kernels.positivity", "kernels stay nonnegative up to the tail tolerance", positivity,
-              at_least(-ctx.tol))
+        r.run("kernels.positivity", "kernels stay nonnegative up to the tail tolerance",
+              lambda: min([0.0] + [ker.kernel_min(ev, t) for ev in (evD, evN) for t in ladder]), at_least(-ctx.tol))
 
     r.run("kernels.kernel_harmonicity", "kernel time slices solve the tube equation at O(h^2)",
           lambda: _second_order_ratio(ctx, [(ctx.interior_sample(), 1.0)]), SECOND_ORDER)
@@ -633,23 +613,24 @@ def _boundary_suite(ctx: SuiteContext, r: _Runner) -> None:
           FINITE)
 
     alphas, ladder = [0.25, 1.0, 4.0], [0.4, 0.2, 0.1]
-    # balls grow with the radius (alpha t^2)^(1/(d+1)), so the smallest one decides
-    smallest = (min(alphas) * min(ladder) ** 2) ** (1.0 / (d + 1.0))
+    x = ctx.interior_sample()
+    # balls grow with alpha and t, so the smallest one decides; the level's
+    # cells, not the metric under test, say whether it can hold a second vertex
+    smallest = bnd.ball_radius(min(alphas), min(ladder), d)
 
     def ball_mass():
-        x = ctx.interior_sample()
         minima = [float(bnd.ball_mass_lower(ctx.evaluator("neumann"), met, x, a, ladder).min()) for a in alphas]
         if ctx.preset in ("interval", "sierpinski"):
             _, ratios = bnd.alpha_scaling_fit(alphas, minima)
             _require(bool(np.all((ratios >= 0.5) & (ratios <= 2.0))), "ball-mass minima do not scale like sqrt(alpha)")
         return min(minima)
 
-    if met.ball(ctx.interior_sample(), smallest)[0].size > 1:
+    if smallest > bnd.resolution_radius(graph, x):
         r.run("boundary.ball_mass_lower", "kernel mass in matched balls is bounded below uniformly in t", ball_mass,
               POSITIVE)
     else:
         r.skip("boundary.ball_mass_lower", "kernel mass in matched balls is bounded below uniformly in t",
-               f"the ball of radius {smallest:.3e} about the interior sample is one vertex at this level")
+               f"the level's cells do not resolve a ball of radius {smallest:.3e} about the interior sample")
 
     def barrier_check():
         _, res = ctx.barrier()

@@ -14,6 +14,7 @@ from pcftube.boundary import (
     maximal_function,
     maximal_measure,
     nontangential_error,
+    resolution_radius,
     shifted_kernel_constant,
     weak11_check,
 )
@@ -267,6 +268,20 @@ def test_ball_mass_positive_and_scaling(stacks):
         assert min(minima) > 0.0
         _, ratios = alpha_scaling_fit(alphas, minima)
         assert np.all(ratios >= 0.5) and np.all(ratios <= 2.0)
+
+
+@pytest.mark.parametrize("preset, m", [("interval", 4), ("sierpinski", 3), ("sierpinski", 5), ("vicsek", 2)])
+def test_resolution_radius_bounds_the_nearest_resistance(stacks, preset, m):
+    # every vertex has a neighbour no farther than the cell bound, which is
+    # exact on the interval, where the network is a path
+    st = stacks(preset, m)
+    R = st.metric.matrix()
+    for x in range(st.graph.n_vertices):
+        nearest = R[x, np.arange(R.shape[0]) != x].min()
+        bound = resolution_radius(st.graph, x)
+        assert nearest <= bound * (1.0 + 1e-12)
+        if preset == "interval":
+            assert bound <= nearest * (1.0 + 1e-12)
 
 
 def test_ball_mass_below_resolution_errors(stacks):

@@ -95,9 +95,7 @@ CAUGHT = {
     # domination ratio divides by it
     "maximal_smallest_radii": {"kernels.maximal_domination"},
     "maximal_times_1_5": {"boundary.maximal_one", "boundary.cone_sup_constant"},
-    # the inflated radii leave the smallest ball about the interior sample one
-    # vertex, so boundary.ball_mass_lower skips for want of resolution
-    "metric_sqrt": {"core.resistance_contraction"},
+    "metric_sqrt": {"core.resistance_contraction", "boundary.ball_mass_lower"},
     "poisson_rate_lambda": {"kernels.kernel_harmonicity", "tube.smoothness"},
     "poisson_integral_time_2t": {"kernels.kernel_harmonicity", "tube.smoothness"},
     "kernel_time_2t": {

@@ -49,9 +49,10 @@ def test_all_suite_passes_on_small_interval():
 
 @pytest.mark.parametrize("preset, level", [("interval", m) for m in (2, 3, 4, 5)] + [("sierpinski", 2), ("vicsek", 2)])
 def test_all_suites_have_no_failure_at_the_smallest_levels(preset, level):
-    # A check the level cannot resolve skips with its reason: the smallest
-    # ball of boundary.ball_mass_lower is one vertex at interval m <= 4 and
-    # sierpinski m = 2, and the Weyl window holds 7 eigenvalues at interval m = 5.
+    # A check the level cannot resolve skips with its reason: the cells bound
+    # no neighbour of the interior sample inside the smallest ball of
+    # boundary.ball_mass_lower at interval m <= 4 and sierpinski m = 2, and
+    # the Weyl window holds 7 eigenvalues at interval m = 5.
     rep = verify_suite("all", preset=preset, level=level)
     assert [c.id for c in rep.checks if c.status == "fail"] == []
     assert all(c.reason for c in rep.checks if c.status == "skip")

@@ -200,11 +200,10 @@ def resolution_radius(graph: VertexGraph, x: int) -> float:
     give, without a metric: a level-m cell w holding x at corner p is the
     network -D scaled by r_w, so R(x, F_w(q)) <= r_w R_0(p, q) (Rayleigh
     monotonicity).  A ball about x of a larger radius holds a second vertex."""
-    S = graph.structure
-    R0 = S.harmonic.resistances()
+    R0 = graph.structure.harmonic.resistances()
     np.fill_diagonal(R0, np.inf)
     cells, corners = np.nonzero(graph.cells == x)
-    r_w = word_products(S.harmonic.r, graph.level)[cells]
+    r_w = word_products(graph.structure.harmonic.r, graph.level)[cells]
     return float((r_w * R0[corners].min(axis=1)).min())
 
 

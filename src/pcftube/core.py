@@ -93,8 +93,7 @@ class HarmonicStructure:
     def resistances(self) -> np.ndarray:
         """Effective resistances between the boundary points in the network -D."""
         G = np.linalg.pinv(-np.asarray(self.D, dtype=float), hermitian=True)
-        g = np.diag(G)
-        return g[:, None] + g[None, :] - 2.0 * G
+        return np.diag(G)[:, None] + np.diag(G)[None, :] - 2.0 * G
 
 
 def similarity_dimension(r: Sequence[float], tol: float = 1e-12) -> float:

@@ -243,10 +243,13 @@ class SuiteContext:
         """Deterministic test functions defined by addresses, hence
         comparable across levels."""
         graph = self.graph()
-        cells = [(f"cell{s}", (s,)) for s in range(self.structure.n_symbols)] + [("cell00", (0, 0))]
+        def indicator(prefix):
+            ind = np.zeros(graph.n_vertices)
+            ind[graph.cells[graph.cells_with_prefix(prefix)].ravel()] = 1.0
+            return ind
         fam = [("const", np.ones(graph.n_vertices))]
-        fam += [(name, bnd.BoundarySet(graph, [w]).vertex_indicator.astype(float)) for name, w in cells]
-        return fam + [("coord", graph.coords[:, 0].copy())]
+        fam += [(f"cell{s}", indicator((s,))) for s in range(self.structure.n_symbols)]
+        return fam + [("cell00", indicator((0, 0))), ("coord", graph.coords[:, 0].copy())]
 
     def sample_vertices(self) -> list[int]:
         """Level-2 lattice points, addressed so they exist at every level >= 2."""

@@ -3,7 +3,8 @@
 Balls live in the effective resistance metric.  The maximal function at a
 vertex is the exact supremum over all resolvable ball averages, obtained by
 sweeping the distinct radii from that vertex (ties merged by the metric's
-tie rule) in an order the metric sorts once.  Approach regions
+tie rule) in an order the metric sorts once, on its orbit-representative
+rows.  Approach regions
 ("cones") over a point x are the sets R(x,y)^(d+1) < alpha t^2, optionally
 truncated in time; they drive the nontangential-limit and barrier
 experiments.
@@ -22,17 +23,21 @@ from .kernels import KernelEvaluator, two_branch_bound
 
 def _maximal(metric: ResistanceMetric, weights: np.ndarray) -> np.ndarray:
     """Largest ratio weights(B) / mu(B) over the realizable balls B about each
-    vertex.  Weights are nonnegative, so the zero ratios at prefixes that are
-    not balls (mass inf) never exceed a ball's ratio."""
+    vertex.  The balls about g(rep) are the images under g of the balls about
+    rep, so each group element g sweeps weights o g over the representatives'
+    sorted rows.  Weights are nonnegative, so the zero ratios at prefixes that
+    are not balls (mass inf) never exceed a ball's ratio."""
     order, masses = metric.realizable_balls()
-    n = order.shape[0]
-    rows = max(1, 2**17 // n)  # a block of rows is about 1 MB of float64
-    out = np.empty(n)
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        ratios = np.cumsum(weights[order[block]], axis=1)
-        ratios /= masses[block]
-        out[block] = ratios.max(axis=1)
+    reps = metric.reps
+    rows = max(1, 2**17 // order.shape[1])  # a block of rows is about 1 MB of float64
+    out = np.empty(order.shape[1])
+    for g in metric.group:
+        moved = weights[g]
+        for start in range(0, reps.size, rows):
+            block = slice(start, start + rows)
+            ratios = np.cumsum(moved[order[block]], axis=1)
+            ratios /= masses[block]
+            out[g[reps[block]]] = ratios.max(axis=1)
     return out
 
 
@@ -61,19 +66,18 @@ class WeakTypeReport:
     l2_ratio: float
 
 
-def weak11_check(metric: ResistanceMetric, f: np.ndarray, alpha_grid) -> WeakTypeReport:
-    """Empirical weak-(1,1) constant alpha * mu{Mf > alpha} / ||f||_1.
+def weak11_check(graph: VertexGraph, f: np.ndarray, mf: np.ndarray, alpha_grid) -> WeakTypeReport:
+    """Empirical weak-(1,1) constant alpha * mu{Mf > alpha} / ||f||_1, for f
+    and its maximal function mf.
 
     Also records the L^2 operator ratio ||Mf||_2 / ||f||_2 as a boundedness
     spot check.
     """
-    graph = metric.graph
     f = np.asarray(f, dtype=float)
     mass = graph.vertex_mass
     norm1 = float(np.sum(mass * np.abs(f)))
     if norm1 <= 0.0:
         raise ValueError("f must not vanish identically")
-    mf = maximal_function(metric, f)
     rows = []
     best = 0.0
     for alpha in alpha_grid:
@@ -274,7 +278,7 @@ class BoundarySet:
 
     def distance(self, metric: ResistanceMetric) -> np.ndarray:
         """Resistance distance from every vertex to the vertex set of E."""
-        return np.min(metric.matrix(), axis=1, where=self.vertex_indicator, initial=np.inf)
+        return metric.distance_to(self.vertex_indicator)
 
 
 # Relative half-width of the sampled lateral shell of the barrier region, and
@@ -348,7 +352,7 @@ def barrier(
     if not boundary_vals:
         raise ValueError("no lateral boundary samples at this resolution")
 
-    dist_comp = np.min(metric.matrix(), axis=1, where=~E.vertex_indicator, initial=np.inf)
+    dist_comp = metric.distance_to(~E.vertex_indicator)
     interior = np.flatnonzero(E.vertex_indicator & (dist_comp > 0.0))
     if interior.size == 0:
         raise ValueError("E has no interior vertices at this level")
@@ -400,12 +404,12 @@ def cone_cover_check(
     d = graph.structure.dim
     if not E.vertex_indicator[x]:
         raise ValueError("x is not inside E; no density-point proxy available")
-    R = metric.matrix()
+    row = metric.from_vertex(x)
     outside = np.flatnonzero(~E.vertex_indicator)
     if outside.size == 0:
         delta = metric.diameter()
     else:
-        delta = float(R[x, outside].min())
+        delta = float(row[outside].min())
     if delta <= 0.0:
         raise ValueError("x touches the complement; no density-point proxy available")
     delta = min(delta, k ** (-1.0 / (d + 1.0)))
@@ -422,7 +426,7 @@ def cone_cover_check(
     for t in t_grid:
         if not 0.0 < t < min(h, 1.0):
             continue
-        members = cone.members(R[x], d, float(t))
+        members = cone.members(row, d, float(t))
         checked += members.size
         # "not <" rather than ">=", so that a NaN distance counts as a violation
         violations += np.count_nonzero(~(dist_e[members] ** (d + 1.0) < t * t / k))

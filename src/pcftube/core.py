@@ -11,7 +11,7 @@ form (see ``ResistanceMetric``), so each level is factorized once; resistance
 radii are compared under one tie rule, ``TIE_RTOL``.  A structure also
 carries its dihedral symmetry group, generated by a reflection and a rotation
 when it has them (``_find_symmetries``), which ``VertexGraph.symmetry_group``
-lifts to every level.
+lifts to every level; the metric is held on one row per orbit of it.
 
 Gluing is purely combinatorial: identification relations are propagated to
 every scale by base-N arithmetic on cell indices, glued corners are merged by
@@ -683,6 +683,12 @@ class ResistanceMetric:
     phi_n phi_n^T / lambda_n is a generalized inverse of E, so
     R(x, y) = G(x, x) + G(y, y) - 2 G(x, y) needs no second factorization.
 
+    R commutes with the symmetry group, R(gx, gy) = R(x, y), so only the rows
+    at ``VertexGraph.orbit_representatives`` are held: row x = g(rep) is
+    rows[rep][g^-1].  Each vertex is read through one (rep, g), the last
+    element of ``group`` that carries a representative onto it, so every
+    reader of a row sees the same numbers.
+
     Radii are compared under the tie rule: two radii closer than
     TIE_RTOL * diameter are the same radius.  Exact ties (symmetric vertices)
     otherwise split at roundoff level, in a direction that depends on the
@@ -692,27 +698,51 @@ class ResistanceMetric:
     def __init__(self, basis: EigenBasis):
         if basis.bc != "neumann":
             raise ValueError("the resistance metric is built from the Neumann eigenbasis")
-        self.graph = basis.graph
-        pos = basis.eigenvalues > 0.0
-        scaled = basis.vectors[:, pos] / np.sqrt(basis.eigenvalues[pos])
-        R = scaled @ scaled.T  # the Gram matrix G, exactly symmetric
-        diag = np.diag(R).copy()
-        R *= -2.0
-        R += diag[:, None]
-        R += diag[None, :]
-        np.fill_diagonal(R, 0.0)
-        self._matrix = np.maximum(R, 0.0, out=R)
-        self._diameter = float(R.max())
+        self.graph = graph = basis.graph
+        self.group = graph.symmetry_group()
+        self.reps = reps = graph.orbit_representatives()
+        # the eigenvalues ascend, so the modes with lambda > 0 are a suffix
+        k0 = int(np.searchsorted(basis.eigenvalues, 0.0, side="right"))
+        V, lam = basis.vectors[:, k0:], basis.eigenvalues[k0:]
+        rows = (V[reps] / lam) @ V.T  # G at the representative rows
+        diag = np.empty(graph.n_vertices)  # G(y, y), in strips of about 1 MB
+        step = max(1, 2**17 // lam.size)
+        for start in range(0, diag.size, step):
+            block = V[start : start + step]
+            diag[start : start + step] = (block * block) @ (1.0 / lam)
+        rows *= -2.0
+        rows += diag[reps, None]
+        rows += diag[None, :]
+        rows[np.arange(reps.size), reps] = 0.0
+        self._rows = np.maximum(rows, 0.0, out=rows)
+        self._diameter = float(rows.max())
+        # vertex x = group[element[x]][reps[slot[x]]], the last such g winning
+        self._slot = np.empty(graph.n_vertices, dtype=np.intp)
+        self._element = np.empty(graph.n_vertices, dtype=np.intp)
+        for j, g in enumerate(self.group):
+            self._slot[g[reps]] = np.arange(reps.size)
+            self._element[g[reps]] = j
+        self._inverse = np.argsort(self.group, axis=1)  # row j is g_j^-1
         self._balls: tuple[np.ndarray, np.ndarray] | None = None
 
-    def matrix(self) -> np.ndarray:
-        return self._matrix
+    def pairs(self, xs, ys) -> np.ndarray:
+        """R(x, y) for index arrays xs and ys, broadcast against each other."""
+        return self._rows[self._slot[xs], self._inverse[self._element[xs], ys]]
 
     def from_vertex(self, a: int) -> np.ndarray:
-        return self._matrix[a]
+        return self._rows[self._slot[a]][self._inverse[self._element[a]]]
 
     def diameter(self) -> float:
         return self._diameter
+
+    def distance_to(self, mask: np.ndarray) -> np.ndarray:
+        """min of R(x, y) over the y with mask[y], for every vertex x (inf for
+        an empty mask): the masked row minima of the representatives, once
+        per group element, R(g rep, y) being R(rep, g^-1 y)."""
+        out = np.empty(self.graph.n_vertices)
+        for g in self.group:
+            out[g[self.reps]] = np.min(self._rows, axis=1, where=mask[g], initial=np.inf)
+        return out
 
     def ball(self, x: int, eps: float) -> tuple[np.ndarray, float]:
         """Open ball {y : R(x, y) < eps} and its lumped measure; a radius tied
@@ -723,25 +753,21 @@ class ResistanceMetric:
         return ids, float(self.graph.vertex_mass[ids].sum())
 
     def realizable_balls(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every distinct open ball about every vertex, computed once.
+        """Every distinct open ball about every representative, computed once.
 
-        Returns (order, masses), both n x n.  Row x of ``order`` lists the
-        vertices by ascending R(x, .) (stable sort).  The prefix
-        order[x, :k + 1] is a ball when the radius at k is the largest or is
-        followed by an increase beyond the tie rule; masses[x, k] is then its
-        measure, and inf where the prefix ends inside a tie.
+        Returns (order, masses), one row per entry of ``reps``.  Row i of
+        ``order`` lists the vertices by ascending R(reps[i], .) (stable sort).
+        The prefix order[i, :k + 1] is a ball when the radius at k is the
+        largest or is followed by an increase beyond the tie rule; masses[i, k]
+        is then its measure, and inf where the prefix ends inside a tie.  The
+        balls about g(rep) are the images under g of the balls about rep, with
+        the same masses.
         """
         if self._balls is None:
-            n = self.graph.n_vertices
-            mass = self.graph.vertex_mass
-            tie = TIE_RTOL * self._diameter
-            order = np.empty((n, n), dtype=np.intp)
-            masses = np.empty((n, n))
-            for x, row in enumerate(self._matrix):
-                o = np.argsort(row, kind="stable")
-                order[x] = o
-                masses[x] = np.cumsum(mass[o])
-                masses[x, :-1][np.diff(row[o]) <= tie] = np.inf
+            order = np.argsort(self._rows, axis=1, kind="stable")
+            masses = np.cumsum(self.graph.vertex_mass[order], axis=1)
+            gaps = np.diff(np.take_along_axis(self._rows, order, axis=1), axis=1)
+            masses[:, :-1][gaps <= TIE_RTOL * self._diameter] = np.inf
             self._balls = (order, masses)
         return self._balls
 

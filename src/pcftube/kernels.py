@@ -359,7 +359,7 @@ def bound_constant(ev: KernelEvaluator, metric, t_grid, pairs=None) -> BoundCons
         xs, ys = np.triu_indices(ev.graph.n_vertices)
     else:
         xs, ys = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    r = metric.matrix()[xs, ys]
+    r = metric.pairs(xs, ys)
     bound_at = two_branch_bound(r, d)
     spread = r ** (d + 1.0)
     best = best_p = -math.inf

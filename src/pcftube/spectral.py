@@ -231,15 +231,20 @@ class EigenBasis(Spectrum):
     mass: np.ndarray
 
     def gram_deviation(self) -> float:
-        """max |V^T M V - I|, with the Gram matrix formed as W^T W for
-        W = sqrt(M) V: BLAS evaluates that as a symmetric rank-k update, and
-        the identity and the absolute value are taken in place, so two n x n
-        arrays live at most."""
-        W = self.vectors * np.sqrt(self.mass)[:, None]
-        G = W.T @ W
-        del W
-        G.flat[:: self.n_modes + 1] -= 1.0
-        return float(np.abs(G, out=G).max())
+        """max |V^T M V - I| over the lower triangle, in column strips of
+        CHUNK_ENTRIES entries: strip j..j+w is V[:, j:]^T (M V[:, j:j+w]), so
+        the strip's columns and its block are the only temporaries and no
+        n x n array is formed."""
+        V = self.vectors
+        step = max(1, CHUNK_ENTRIES // V.shape[0])
+        worst = 0.0
+        for start in range(0, self.n_modes, step):
+            cols = V[:, start : start + step]
+            G = V[:, start:].T @ (self.mass[:, None] * cols)
+            diag = np.arange(cols.shape[1])
+            G[diag, diag] -= 1.0
+            worst = max(worst, float(np.abs(G, out=G).max()))
+        return worst
 
 
 def _irreps(k: int, reflect: bool) -> list[np.ndarray]:

@@ -307,15 +307,14 @@ def _core_suite(ctx: SuiteContext, r: _Runner) -> None:
 
     def contraction():
         met = ctx.metric()
-        R = met.matrix()
         bid = graph.boundary_ids
-        base = R[np.ix_(bid, bid)].max()
+        base = met.pairs(bid[:, None], bid).max()
         worst = -math.inf
         step = max(1, graph.n_cells // 24)
         r_w = word_products(S.harmonic.r, graph.level)
         for c in range(0, graph.n_cells, step):
             ids = graph.cells[c]
-            worst = max(worst, float(R[np.ix_(ids, ids)].max() - r_w[c] * base))
+            worst = max(worst, float(met.pairs(ids[:, None], ids).max() - r_w[c] * base))
         return worst
 
     r.run("core.resistance_contraction", "cell copies contract the resistance metric by r_w", contraction, at_most(1e-9))
@@ -327,7 +326,7 @@ def _core_suite(ctx: SuiteContext, r: _Runner) -> None:
         dev = 0.0
         for a in range(S.n_boundary):
             for b in range(a + 1, S.n_boundary):
-                dev = max(dev, abs(met.matrix()[bid[a], bid[b]] - R0[a, b]))
+                dev = max(dev, abs(met.pairs(bid[a], bid[b]) - R0[a, b]))
         return dev
 
     r.run("core.boundary_trace", "level-m boundary resistances equal the level-0 network", boundary_trace, at_most(1e-9))
@@ -513,8 +512,12 @@ def _boundary_suite(ctx: SuiteContext, r: _Runner) -> None:
     d = ctx.structure.dim
     rng = ctx.rng()
 
+    def constant_mf():
+        """M1, from the family, whose first member is the constant function."""
+        return ctx.family_maximal()[0][1]
+
     r.run("boundary.maximal_one", "the maximal function fixes constants",
-          lambda: np.abs(bnd.maximal_function(met, np.ones(graph.n_vertices)) - 1.0).max(), at_most(1e-12))
+          lambda: np.abs(constant_mf() - 1.0).max(), at_most(1e-12))
     r.run("boundary.maximal_lower", "Mf dominates |f| pointwise",
           lambda: max(float((np.abs(f) - mf).max()) for f, mf in ctx.family_maximal()), at_most(1e-12))
 
@@ -537,21 +540,22 @@ def _boundary_suite(ctx: SuiteContext, r: _Runner) -> None:
     r.run("boundary.maximal_homogeneous", "M(cf) = |c| Mf", homogeneous, at_most(1e-10))
 
     def weak11():
-        rep = bnd.weak11_check(met, np.ones(graph.n_vertices), [0.5])
+        family = ctx.family_maximal()
+        rep = bnd.weak11_check(graph, *family[0], [0.5])
         _require(abs(rep.per_alpha[0][1] - 0.5) <= 1e-12, "the constant function misses its exact weak (1,1) ratio")
         best = rep.constant
-        for _, f in ctx.function_family()[1:3]:
-            best = max(best, bnd.weak11_check(met, f, np.geomspace(0.1, 2.0, 6)).constant)
+        for f, mf in family[1:3]:
+            best = max(best, bnd.weak11_check(graph, f, mf, np.geomspace(0.1, 2.0, 6)).constant)
         return best
 
     r.run("boundary.weak11", "weak (1,1) ratios stay bounded by one constant", weak11, FINITE)
 
     def l2_bound():
         worst = 0.0
-        for _, f in ctx.function_family():
+        for f, mf in ctx.family_maximal():
             if np.abs(f).max() == 0.0:
                 continue
-            worst = max(worst, bnd.weak11_check(met, f, [1.0]).l2_ratio)
+            worst = max(worst, bnd.weak11_check(graph, f, mf, [1.0]).l2_ratio)
         return worst
 
     r.run("boundary.l2_bound", "the maximal operator is L^2 bounded", l2_bound, FINITE)
@@ -590,8 +594,7 @@ def _boundary_suite(ctx: SuiteContext, r: _Runner) -> None:
     def cone_sup_const():
         x = ctx.interior_sample()
         fld = tb.tube_sample(ctx.evaluator("neumann"), np.ones(graph.n_vertices), np.geomspace(0.05, 0.8, 6))
-        mf = bnd.maximal_function(met, np.ones(graph.n_vertices))
-        return abs(bnd.cone_sup(fld, bnd.Cone(x, 1.0), met, mf_at_apex=float(mf[x])).ratio - 1.0)
+        return abs(bnd.cone_sup(fld, bnd.Cone(x, 1.0), met, mf_at_apex=float(constant_mf()[x])).ratio - 1.0)
 
     r.run("boundary.cone_sup_constant", "constant data saturates the cone bound at ratio one", cone_sup_const,
           at_most(1e-10))

@@ -40,6 +40,12 @@ class Stack:
             self._metric = ResistanceMetric(self.basis("neumann"))
         return self._metric
 
+    @property
+    def table(self) -> np.ndarray:
+        """The metric's whole n x n table, read through ``ResistanceMetric.pairs``."""
+        idx = np.arange(self.graph.n_vertices)
+        return self.metric.pairs(idx[:, None], idx)
+
 
 @pytest.fixture(scope="session")
 def stacks():

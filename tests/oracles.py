@@ -473,6 +473,45 @@ def exact_resistance(graph) -> np.ndarray:
     return np.array([[float(G[a][a] + G[b][b] - 2 * G[a][b]) for b in range(n)] for a in range(n)])
 
 
+def full_resistance(basis) -> np.ndarray:
+    """The whole n x n resistance table from the Neumann eigenbasis, every row
+    computed: G = S S^T for S = V / sqrt(lambda) over the modes with
+    lambda > 0, R = G(x, x) + G(y, y) - 2 G(x, y), zero on the diagonal and
+    clipped at zero."""
+    pos = basis.eigenvalues > 0.0
+    scaled = basis.vectors[:, pos] / np.sqrt(basis.eigenvalues[pos])
+    R = scaled @ scaled.T
+    diag = np.diag(R).copy()
+    R *= -2.0
+    R += diag[:, None]
+    R += diag[None, :]
+    np.fill_diagonal(R, 0.0)
+    return np.maximum(R, 0.0, out=R)
+
+
+def full_realizable_balls(R: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, masses) for every row of R, sorted row by row: order[x] lists
+    the vertices by ascending R(x, .) (stable sort), masses[x, k] is the
+    measure of the prefix order[x, :k + 1], inf where the prefix ends inside a
+    tie (a gap of at most TIE_RTOL * R.max())."""
+    n = R.shape[0]
+    tie = TIE_RTOL * R.max()
+    order = np.empty((n, n), dtype=np.intp)
+    masses = np.empty((n, n))
+    for x, row in enumerate(R):
+        o = np.argsort(row, kind="stable")
+        order[x] = o
+        masses[x] = np.cumsum(mass[o])
+        masses[x, :-1][np.diff(row[o]) <= tie] = np.inf
+    return order, masses
+
+
+def full_maximal(R: np.ndarray, mass: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Mf at every vertex from the whole tables of ``full_realizable_balls``."""
+    order, masses = full_realizable_balls(R, mass)
+    return (np.cumsum((mass * np.abs(f))[order], axis=1) / masses).max(axis=1)
+
+
 # -- brute-force maximal function ---------------------------------------------------
 
 

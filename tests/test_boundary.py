@@ -27,6 +27,7 @@ from oracles import (
     brute_maximal_measure,
     brute_shifted_kernel_constant,
     exact_resistance,
+    full_resistance,
     loop_boundary_cells,
 )
 
@@ -52,7 +53,7 @@ def test_maximal_matches_brute_force(stacks, rng):
     # The oracle sweeps exact rational resistances, whose ties are exact.
     st = stacks("sierpinski", 3)
     R = exact_resistance(st.graph)
-    assert np.abs(st.metric.matrix() - R).max() <= 1e-13 * R.max()
+    assert np.abs(st.table - R).max() <= 1e-13 * R.max()
     f = rng.standard_normal(st.graph.n_vertices)
     mf = maximal_function(st.metric, f)
     for x in range(st.graph.n_vertices):
@@ -97,14 +98,15 @@ def test_maximal_measure_two_atoms_brute(stacks):
     atom_vec = np.zeros(st.graph.n_vertices)
     atom_vec[a] += 0.7
     atom_vec[b] += 0.3
-    R = st.metric.matrix()
+    R = full_resistance(st.basis("neumann"))
     for x in (a, b, st.graph.vertex_id((0,), 1)):
         assert mv[x] == pytest.approx(brute_maximal_measure(R, st.graph.vertex_mass, atom_vec, x), abs=1e-12)
 
 
 def test_weak11_constant_function(stacks):
     st = stacks("interval", 6)
-    rep = weak11_check(st.metric, np.ones(st.graph.n_vertices), [0.5])
+    f = np.ones(st.graph.n_vertices)
+    rep = weak11_check(st.graph, f, maximal_function(st.metric, f), [0.5])
     assert rep.per_alpha[0][1] == pytest.approx(0.5, abs=1e-12)
     assert rep.l2_ratio == pytest.approx(1.0, abs=1e-12)
 
@@ -112,7 +114,8 @@ def test_weak11_constant_function(stacks):
 def test_weak11_bump_finite(stacks):
     st = stacks("interval", 6)
     E = BoundarySet(st.graph, [(0, 0, 0)])
-    rep = weak11_check(st.metric, E.vertex_indicator.astype(float), np.geomspace(0.05, 1.0, 8))
+    f = E.vertex_indicator.astype(float)
+    rep = weak11_check(st.graph, f, maximal_function(st.metric, f), np.geomspace(0.05, 1.0, 8))
     assert math.isfinite(rep.constant) and rep.constant > 0.0
     assert math.isfinite(rep.l2_ratio)
 
@@ -120,7 +123,7 @@ def test_weak11_bump_finite(stacks):
 def test_weak11_rejects_zero_function(stacks):
     st = stacks("interval", 4)
     with pytest.raises(ValueError):
-        weak11_check(st.metric, np.zeros(st.graph.n_vertices), [1.0])
+        weak11_check(st.graph, np.zeros(st.graph.n_vertices), np.zeros(st.graph.n_vertices), [1.0])
 
 
 # -- cones ---------------------------------------------------------------------------------
@@ -239,7 +242,7 @@ def test_shifted_kernel_constant_matches_brute(stacks, preset, m, x_word, apex_w
     cone = Cone(apex, 1.0, height)
     c = shifted_kernel_constant(ev, st.metric, x, cone, t_grid)
     expect = brute_shifted_kernel_constant(
-        [ev.poisson_matrix(t) for t in t_grid], st.metric.matrix(), ev.d, x, apex, 1.0, height, t_grid
+        [ev.poisson_matrix(t) for t in t_grid], full_resistance(st.basis("neumann")), ev.d, x, apex, 1.0, height, t_grid
     )
     assert expect > 0.0
     assert c == pytest.approx(expect, rel=1e-12)
@@ -275,7 +278,7 @@ def test_resolution_radius_bounds_the_nearest_resistance(stacks, preset, m):
     # every vertex has a neighbour no farther than the cell bound, which is
     # exact on the interval, where the network is a path
     st = stacks(preset, m)
-    R = st.metric.matrix()
+    R = full_resistance(st.basis("neumann"))
     for x in range(st.graph.n_vertices):
         nearest = R[x, np.arange(R.shape[0]) != x].min()
         bound = resolution_radius(st.graph, x)

@@ -422,7 +422,7 @@ def test_orbit_representatives_partition_the_vertices(config, m, n_reps):
 
 def test_interval_resistances(stacks):
     st = stacks("interval", 3)
-    R = st.metric.matrix()
+    R = st.table
     a, b = st.graph.boundary_ids
     mid = st.graph.vertex_id((0,), 1)
     assert abs(R[a, b] - 1.0) < 1e-10
@@ -446,22 +446,22 @@ def test_tie_rule_margin(stacks, preset, m):
     # genuine gaps, with at least a factor of ten to TIE_RTOL on each side.
     # Validated levels: interval m <= 10, sierpinski m <= 6, vicsek m <= 4;
     # the smallest genuine gap shrinks 25-50 fold per sierpinski level.
-    met = stacks(preset, m).metric
-    gaps = np.diff(np.sort(met.matrix(), axis=1), axis=1).ravel() / met.diameter()
+    st = stacks(preset, m)
+    gaps = np.diff(np.sort(st.table, axis=1), axis=1).ravel() / st.metric.diameter()
     gaps = gaps[gaps > 0.0]
     assert np.all((gaps < TIE_RTOL / 10.0) | (gaps > 10.0 * TIE_RTOL))
 
 
 def test_interval_metric_is_euclidean(stacks):
     st = stacks("interval", 6)
-    R = st.metric.matrix()
+    R = st.table
     xs = st.graph.coords[:, 0]
     assert np.abs(R - np.abs(xs[:, None] - xs[None, :])).max() < 1e-9
 
 
 def test_resistance_symmetry_and_triangle(stacks):
     st = stacks("sierpinski", 3)
-    R = st.metric.matrix()
+    R = st.table
     assert np.abs(R - R.T).max() < 1e-12
     n = R.shape[0]
     idx = np.arange(0, n, 3)
@@ -475,7 +475,7 @@ def test_resistance_symmetry_and_triangle(stacks):
 def test_resistance_contraction_per_cell(stacks):
     for preset, m in (("interval", 5), ("sierpinski", 4), ("vicsek", 3)):
         st = stacks(preset, m)
-        R = st.metric.matrix()
+        R = st.table
         bid = st.graph.boundary_ids
         base = R[np.ix_(bid, bid)].max()
         for c in range(0, st.graph.n_cells, max(1, st.graph.n_cells // 16)):
@@ -492,7 +492,7 @@ def test_boundary_resistance_matches_level_zero(stacks):
         for a in range(st.structure.n_boundary):
             for b in range(a + 1, st.structure.n_boundary):
                 expect = R0[a, a] + R0[b, b] - 2.0 * R0[a, b]
-                assert st.metric.matrix()[bid[a], bid[b]] == pytest.approx(expect, abs=1e-9)
+                assert st.table[bid[a], bid[b]] == pytest.approx(expect, abs=1e-9)
 
 
 # -- balls and scaling ---------------------------------------------------------------------

@@ -37,12 +37,13 @@ def _drop_top_modes(ev, rate, a, ts):
 
 
 def _metric_transform(transform):
-    """``ResistanceMetric.__init__`` followed by R -> transform(R, diam)."""
+    """``ResistanceMetric.__init__`` followed by R -> transform(R, diam) on
+    the held representative rows, hence on every row."""
     init = ResistanceMetric.__init__
 
     def patched(self, basis):
         init(self, basis)
-        self._matrix = transform(self._matrix, self._diameter)
+        self._rows = transform(self._rows, self._diameter)
 
     return patched
 
@@ -59,10 +60,14 @@ def _cone_rule(rule):
 
 
 def _maximal_over_smallest_radii(metric, weights):
+    """``_maximal`` over the n // 20 smallest radii about each vertex only."""
     order, masses = metric.realizable_balls()
-    k = max(1, order.shape[0] // 20)
-    ratios = np.cumsum(weights[order[:, :k]], axis=1) / masses[:, :k]
-    return ratios.max(axis=1)
+    k = max(1, order.shape[1] // 20)
+    out = np.empty(order.shape[1])
+    for g in metric.group:
+        ratios = np.cumsum(weights[g][order[:, :k]], axis=1) / masses[:, :k]
+        out[g[metric.reps]] = ratios.max(axis=1)
+    return out
 
 
 _maximal = bnd._maximal

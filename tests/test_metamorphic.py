@@ -36,7 +36,8 @@ def _outputs(preset, c):
         basis = spectral.eigensystem(form, bc)
         out[bc] = (basis.eigenvalues, KernelEvaluator(basis))
         if bc == "neumann":
-            out["R"] = ResistanceMetric(basis).matrix()
+            idx = np.arange(form.graph.n_vertices)
+            out["R"] = ResistanceMetric(basis).pairs(idx[:, None], idx)
     return out
 
 

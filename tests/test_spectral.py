@@ -221,6 +221,24 @@ def test_orthonormality_and_residuals(stacks):
             assert b.max_residual == float((b.residuals / (1.0 + b.eigenvalues)).max())
 
 
+@pytest.mark.parametrize("chunk", [2**17, 300])
+def test_gram_deviation_strips_match_the_whole_gram_matrix(stacks, monkeypatch, chunk):
+    # 300 entries is one column per strip at sierpinski m=3 (n = 42); one
+    # defect sits at the far corner of the lower triangle (row k - 1,
+    # column 0), the other on the diagonal (column 5)
+    monkeypatch.setattr(spectral, "CHUNK_ENTRIES", chunk)
+    b = stacks("sierpinski", 3).basis("dirichlet")
+    corner, diagonal = b.vectors.copy(), b.vectors.copy()
+    corner[:, -1] += 1e-6 * corner[:, 0]
+    diagonal[:, 5] *= 1.0 + 3e-7
+    for V, defect in ((b.vectors, 0.0), (corner, 1e-6), (diagonal, 6e-7)):
+        basis = dataclasses.replace(b, vectors=V)
+        W = V * np.sqrt(basis.mass)[:, None]
+        expect = np.abs(W.T @ W - np.eye(basis.n_modes)).max()
+        assert basis.gram_deviation() == pytest.approx(expect, rel=0.0, abs=1e-15)
+        assert expect == pytest.approx(defect, rel=1e-6, abs=1e-14)
+
+
 def test_sparse_residuals_match_dense(stacks):
     for preset, m in SMALL_STACKS:
         st = stacks(preset, m)

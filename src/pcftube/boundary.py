@@ -104,11 +104,11 @@ class Cone:
         return np.flatnonzero(r_row ** (d + 1.0) < self.aperture * t * t)
 
 
-def _cone_running_max(cone: Cone, r_row: np.ndarray, d: float, ts: np.ndarray, field) -> tuple[np.ndarray, bool]:
-    """errs[i] = max of |field(j, ts[j])| over the cone members at ts[j], j <= i.
+def _cone_running_max(cone: Cone, r_row: np.ndarray, d: float, ts: np.ndarray, values) -> tuple[np.ndarray, bool]:
+    """errs[i] = max of |values[j]| over the cone members at ts[j], j <= i.
 
-    ``ts`` ascends; ``field`` is called only at times where the cone has a
-    member.  Also returns whether any time had one.
+    ``ts`` ascends, and ``values`` holds one row per time.  Also returns
+    whether any time had a member.
     """
     errs = np.empty(ts.size)
     running = 0.0
@@ -117,7 +117,7 @@ def _cone_running_max(cone: Cone, r_row: np.ndarray, d: float, ts: np.ndarray, f
         ids = cone.members(r_row, d, float(t))
         if ids.size:
             any_member = True
-            running = max(running, float(np.abs(field(i, float(t))[ids]).max()))
+            running = max(running, float(np.abs(values[i][ids]).max()))
         errs[i] = running
     return errs, any_member
 
@@ -131,7 +131,7 @@ class ConeSupReport:
 def cone_sup(field, cone: Cone, metric: ResistanceMetric, mf_at_apex: float | None = None) -> ConeSupReport:
     """Sup of |u| over the sampled cone, optionally relative to Mf(apex)."""
     d, row = metric.graph.structure.dim, metric.from_vertex(cone.apex)
-    errs, any_member = _cone_running_max(cone, row, d, field.t_grid, lambda i, t: field.values[i])
+    errs, any_member = _cone_running_max(cone, row, d, field.t_grid, field.values)
     if not any_member:
         raise ValueError("cone contains no sampled points at this level")
     sup = float(errs[-1])
@@ -160,7 +160,7 @@ def nontangential_error(
     d = graph.structure.dim
     r_row = metric.from_vertex(cone.apex)
     ts = np.sort(np.asarray(list(t_ladder), dtype=float))
-    errs, any_member = _cone_running_max(cone, r_row, d, ts, lambda i, t: ev.poisson_integral(f, t) - target)
+    errs, any_member = _cone_running_max(cone, r_row, d, ts, ev.poisson_integral(f, ts) - target)
     if not any_member:
         raise ValueError("cone contains no sampled points on the ladder")
     return ts, errs
@@ -361,7 +361,7 @@ def barrier(
     decay = {}
     for v in proxies:
         cone = Cone(apex=v, aperture=alpha, height=1.0)
-        decay[v], _ = _cone_running_max(cone, metric.from_vertex(v), d, ts, lambda i, t: values[i])
+        decay[v], _ = _cone_running_max(cone, metric.from_vertex(v), d, ts, values)
 
     return BarrierResult(
         t_grid=ts,

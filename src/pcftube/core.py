@@ -40,6 +40,9 @@ DEFAULT_BUDGET = 200_000
 # m <= 6 and vicsek m <= 4.  Genuine sierpinski gaps shrink 25-50 fold per
 # level (2.0e-10 at m = 7), so deeper levels are not covered.
 TIE_RTOL = 1e-10
+# Rows ``write_csv`` joins into one string per write, about 0.3 MB of text
+# for a vertex table: a whole table's text is never held at once.
+CSV_BLOCK_ROWS = 4096
 
 
 class StructureError(ValueError):
@@ -562,37 +565,61 @@ class VertexGraph:
         return np.arange(block.start, block.stop)
 
     def export_csv(self, outdir) -> None:
-        import csv
+        """``vertices.csv`` (id, coordinates, mass) and ``cells.csv`` (word,
+        vertex ids of the cell's corners) under ``outdir``, by ``write_csv``."""
         import os
 
         os.makedirs(outdir, exist_ok=True)
-        table = np.empty((self.n_vertices, self.coords.shape[1] + 2), dtype=object)
-        table[:, 0] = range(self.n_vertices)
-        table[:, 1:-1] = _float_reprs(self.coords)
-        table[:, -1] = _float_reprs(self.vertex_mass)
-        with open(os.path.join(outdir, "vertices.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["vertex_id"] + [f"x{k}" for k in range(self.coords.shape[1])] + ["mass"])
-            writer.writerows(table.tolist())
+        names = _field_text(np.arange(self.n_vertices))
+        write_csv(
+            os.path.join(outdir, "vertices.csv"),
+            ["vertex_id"] + [f"x{k}" for k in range(self.coords.shape[1])] + ["mass"],
+            [names, *self.coords.T, self.vertex_mass],
+        )
         # Cell c's word is its m base-N digits, first letter most significant:
         # each word of length l + 1 is a word of length l and one more letter.
         letters = np.array([str(s) for s in range(self.structure.n_symbols)], dtype=object)
         words = np.array([""], dtype=object)
         for _ in range(self.level):
             words = np.add.outer(words, letters).ravel()
-        with open(os.path.join(outdir, "cells.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["word"] + [f"v{k}" for k in range(self.cells.shape[1])])
-            writer.writerows([w, *ids] for w, ids in zip(words, self.cells.tolist()))
+        write_csv(
+            os.path.join(outdir, "cells.csv"),
+            ["word"] + [f"v{k}" for k in range(self.cells.shape[1])],
+            [words, *names[self.cells.T]],
+        )
 
 
-def _float_reprs(values: np.ndarray) -> np.ndarray:
-    """``repr`` of every float in ``values``, as an object array of the same
-    shape, formatted once per distinct bit pattern: the coordinates and masses
-    of a level take few distinct values."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    uniq, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) for v in uniq.view(np.float64).tolist()], dtype=object)
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    r"""Write ``header`` and one row per entry of the equal-length ``columns``
+    to ``path``, with the bytes ``csv.writer`` gives: fields joined by ``,``
+    and every line ended by ``\r\n``.  Each column is formatted once, and
+    the rows go out ``CSV_BLOCK_ROWS`` to a write.
+
+    A column of numbers is formatted by ``_field_text`` (floats as ``repr``,
+    integers in decimal); an object array is taken as its text.  No field is
+    quoted, so none may hold ``,``, ``"`` or a line break: the callers write
+    numbers, digit words and boundary-condition names.
+    """
+    text = [(c if c.dtype == object else _field_text(c)).tolist() for c in map(np.asarray, columns)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(text[0]), CSV_BLOCK_ROWS):
+            rows = zip(*(column[start : start + CSV_BLOCK_ROWS] for column in text))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
+def _field_text(values: np.ndarray) -> np.ndarray:
+    """``str`` of every number in ``values`` (``repr`` for a float), as an
+    object array of the same shape, formatted once per distinct value: the
+    coordinates and masses of a level take few distinct values.  Floats are
+    told apart by bit pattern, so 0.0 and -0.0 keep their own text."""
+    if values.dtype.kind == "f":
+        bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+        uniq, inverse = np.unique(bits, return_inverse=True)
+        uniq = uniq.view(np.float64)
+    else:
+        uniq, inverse = np.unique(values, return_inverse=True)
+    text = np.array([str(v) for v in uniq.tolist()], dtype=object)
     return text[inverse.reshape(values.shape)]
 
 

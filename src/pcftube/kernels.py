@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TIE_RTOL
+from .core import TIE_RTOL, write_csv
 from .spectral import EigenBasis, eigen_growth_constants, supnorm_ratio
 
 class KernelEvaluator:
@@ -37,6 +37,8 @@ class KernelEvaluator:
         self.sqrt_lam = np.sqrt(self.lam)
         self.vectors = basis.vectors
         self.mass = basis.mass
+        # Mode coefficients of the constant function 1, read by kernel_mass.
+        self._ones_coef = self.vectors.T @ self.mass
         self.d = basis.dim
         # Terms with rate * t above this are below 2^-1075 / e in magnitude
         # (see _live).
@@ -156,26 +158,26 @@ class KernelEvaluator:
             a += float(weight) * self.vectors[int(vertex)]
         return a
 
-    def poisson_integral(self, f, t) -> np.ndarray:
-        """u(t, .) = sum_n a_n e^{-sqrt(lambda_n) t} phi_n.
+    def poisson_integral(self, f, t, x=slice(None)) -> np.ndarray:
+        """u(t, x) = sum_n a_n e^{-sqrt(lambda_n) t} phi_n(x) at the vertices x
+        (all of them by default, an index array for some rows, as in
+        ``poisson_row``).
 
         For an array of times (a time ladder) the result has one row per time,
-        all from one projection of f onto the modes; every t is checked first.
+        all from one projection of f onto the modes and one product with the
+        modes; every t is checked first.
         """
         ts = np.asarray(t, dtype=float)
         for s in ts.flat:
             self._check(float(s))
         a = self.coefficients(f)
-        out = np.empty((ts.size, self.vectors.shape[0]))
-        for row, s in zip(out, ts.flat):
-            row[:] = self.vectors @ (np.exp(-self.sqrt_lam * s) * a)
+        out = (np.exp(-np.multiply.outer(ts.ravel(), self.sqrt_lam)) * a) @ self.vectors[x].T
         return out.reshape(ts.shape + out.shape[1:])
 
     def kernel_mass(self, t: float, x: int) -> float:
         """Lumped integral of P(t, x, .) against the measure."""
         self._check(t)
-        ones_coef = self.vectors.T @ self.mass
-        return float(np.dot(np.exp(-self.sqrt_lam * t) * ones_coef, self.vectors[x]))
+        return float(np.dot(np.exp(-self.sqrt_lam * t) * self._ones_coef, self.vectors[x]))
 
     # -- subordination -----------------------------------------------------------
 
@@ -403,20 +405,17 @@ def approx_identity_error(ev: KernelEvaluator, f: np.ndarray, t_ladder) -> Appro
 
 
 def export_kernel_csv(path, ev: KernelEvaluator, t_grid, points, quad_tol: float = 1e-7) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x_id", "y_id", "H", "P_series", "P_quadrature"])
-        for t in t_grid:
-            for x, y in points:
-                writer.writerow(
-                    [
-                        repr(float(t)),
-                        int(x),
-                        int(y),
-                        repr(ev.heat(t, x, y)),
-                        repr(ev.poisson(t, x, y)),
-                        repr(ev.poisson_via_subordination(t, x, y, quad_tol)),
-                    ]
-                )
+    """Write rows t, x_id, y_id, H, P_series, P_quadrature for every time of
+    ``t_grid`` and every pair of ``points``, one evaluation of each per row."""
+    pairs = np.asarray(points, dtype=int).reshape(-1, 2)
+    ts = np.repeat(np.asarray(t_grid, dtype=float), len(pairs))
+    xs, ys = np.tile(pairs, (len(t_grid), 1)).T
+    values = [
+        (ev.heat(t, x, y), ev.poisson(t, x, y), ev.poisson_via_subordination(t, x, y, quad_tol))
+        for t, x, y in zip(ts.tolist(), xs.tolist(), ys.tolist())
+    ]
+    write_csv(
+        path,
+        ["t", "x_id", "y_id", "H", "P_series", "P_quadrature"],
+        [ts, xs, ys, *np.array(values, dtype=float).reshape(-1, 3).T],
+    )

@@ -20,7 +20,7 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .core import BudgetError, VertexGraph, build_level, word_products
+from .core import BudgetError, VertexGraph, build_level, word_products, write_csv
 
 RESIDUAL_TOL = 1e-8
 # Eigenvalues within EIG_RTOL (relative) of each other are one eigenvalue of a
@@ -604,11 +604,13 @@ def supnorm_ratio(basis: Spectrum) -> float:
 def export_spectrum_csv(path, spectra: list[tuple[str, np.ndarray]]) -> None:
     """Write the (bc, eigenvalues) pairs as rows n, lambda, bc; the pairs
     carry no eigenvectors, so a caller can drop each basis once solved."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda", "bc"])
-        for bc, eigenvalues in spectra:
-            for n, lam in enumerate(eigenvalues, start=1):
-                writer.writerow([n, repr(float(lam)), bc])
+    counts = [len(eigenvalues) for _, eigenvalues in spectra]
+    write_csv(
+        path,
+        ["n", "lambda", "bc"],
+        [
+            np.concatenate([np.arange(1, k + 1) for k in counts]),
+            np.concatenate([eigenvalues for _, eigenvalues in spectra]),
+            np.repeat(np.array([bc for bc, _ in spectra], dtype=object), counts),
+        ],
+    )

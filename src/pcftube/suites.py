@@ -486,7 +486,7 @@ def _kernels_suite(ctx: SuiteContext, r: _Runner) -> None:
         best = 0.0
         for f, mf in ctx.family_maximal():
             for ev in (evD, evN):
-                u = ev.poisson_integral(f, ladder)[:, samples]
+                u = ev.poisson_integral(f, ladder, samples)
                 best = max(best, float(np.max(np.abs(u) / mf[samples])))
         return best
 

@@ -208,6 +208,29 @@ def loop_export_csv(graph, outdir) -> None:
             writer.writerow(["".join(map(str, w))] + [int(v) for v in graph.cells[c]])
 
 
+def loop_export_kernel_csv(path, ev, t_grid, points, quad_tol: float = 1e-7) -> None:
+    """The kernel table written one row at a time: t, x, y and H, the series
+    and the quadrature Poisson kernel at (t, x, y), each float through
+    ``repr``."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x_id", "y_id", "H", "P_series", "P_quadrature"])
+        for t in t_grid:
+            for x, y in points:
+                writer.writerow(
+                    [
+                        repr(float(t)),
+                        int(x),
+                        int(y),
+                        repr(ev.heat(t, x, y)),
+                        repr(ev.poisson(t, x, y)),
+                        repr(ev.poisson_via_subordination(t, x, y, quad_tol)),
+                    ]
+                )
+
+
 def loop_vertex_id(graph, word, p: int) -> int:
     """Vertex id of F_w(x_p): w padded with x_p's self-symbol, looked up in a
     dict of the graph's words."""

@@ -572,7 +572,15 @@ def test_graph_export_csv(tmp_path, stacks):
     assert len(rows) == 1 + st.graph.n_vertices
     cells = (tmp_path / "cells.csv").read_text().strip().splitlines()
     assert len(cells) == 1 + st.graph.n_cells
-    for preset, m in (("interval", 3), ("sierpinski", 0), ("sierpinski", 5), ("vicsek", 3)):
+    for preset, m in (
+        ("interval", 0),
+        ("interval", 3),
+        ("sierpinski", 0),
+        ("sierpinski", 5),
+        ("sierpinski", 7),
+        ("vicsek", 3),
+        ("vicsek", 4),
+    ):
         graph = stacks(preset, m).graph
         graph.export_csv(tmp_path / f"{preset}{m}")
         (tmp_path / "loop").mkdir(exist_ok=True)

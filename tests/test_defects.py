@@ -21,10 +21,10 @@ def _poisson_integral(transform):
     """``KernelEvaluator.poisson_integral`` with ``transform(ev, rate, a, ts)``
     applied to the rates, the mode coefficients and the times."""
 
-    def poisson_integral(self, f, t):
+    def poisson_integral(self, f, t, x=slice(None)):
         ts = np.asarray(t, dtype=float)
         rate, a, times = transform(self, self.sqrt_lam, self.coefficients(f), ts)
-        out = np.array([self.vectors @ (np.exp(-rate * s) * a) for s in times.flat])
+        out = np.array([self.vectors[x] @ (np.exp(-rate * s) * a) for s in times.flat])
         return out.reshape(ts.shape + out.shape[1:])
 
     return poisson_integral

@@ -374,15 +374,24 @@ def test_poisson_integral_atoms_match_row(stacks):
 def test_poisson_integral_time_ladder(stacks, rng):
     st = stacks("sierpinski", 4)
     ts = np.array([0.05, 0.2, 0.2, 1.0, 7.5])
+    rows = np.array([40, 3, 17, 3])
     for bc in ("dirichlet", "neumann"):
         ev = st.evaluator(bc)
         f = rng.standard_normal(st.graph.n_vertices)
         atoms = [(5, 0.5), (17, -2.0), (5, 1.25)]
         for g in (f, atoms):
+            # The ladder is one product, summed in another order than one time
+            # or one set of rows alone; two sums of the same n terms differ by
+            # at most 2 n eps sum |terms|.
+            terms = np.abs(np.exp(-np.multiply.outer(ts, ev.sqrt_lam)) * ev.coefficients(g)) @ np.abs(ev.vectors).T
+            bound = 2.0 * ev.lam.size * np.finfo(float).eps * terms
             U = ev.poisson_integral(g, ts)
             assert U.shape == (ts.size, st.graph.n_vertices)
             for i, t in enumerate(ts):
-                assert np.array_equal(U[i], ev.poisson_integral(g, t))
+                assert np.all(np.abs(U[i] - ev.poisson_integral(g, t)) <= bound[i])
+            assert np.all(np.abs(ev.poisson_integral(g, ts, rows) - U[:, rows]) <= bound[:, rows])
+            assert ev.poisson_integral(g, 0.2, rows).shape == rows.shape
+            assert ev.poisson_integral(g, ts, 17).shape == ts.shape
         assert ev.poisson_integral(f, ts[:0]).shape == (0, st.graph.n_vertices)
 
 

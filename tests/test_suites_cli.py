@@ -14,9 +14,11 @@ import pcftube.spectral as spectral
 import pcftube.suites as suites
 from pcftube.cli import main
 from pcftube.core import build_level, load_structure
-from pcftube.kernels import KernelEvaluator, export_kernel_csv
+from pcftube.kernels import KernelEvaluator
 from pcftube.suites import verify_suite
 from pcftube.tube import fatou_batch, lp_profile
+
+from oracles import loop_export_kernel_csv
 
 
 def _evaluator(preset, level, bc, tol=1e-8):
@@ -399,7 +401,7 @@ def test_cli_kernel_matches_a_reference_from_eigensystem(tmp_path):
     for bc in ("dirichlet", "neumann"):
         ev = KernelEvaluator(spectral.eigensystem(form, bc))
         ref = tmp_path / f"ref_{bc}.csv"
-        export_kernel_csv(ref, ev, t_grid, [(x, y) for x in ids for y in ids])
+        loop_export_kernel_csv(ref, ev, t_grid, [(x, y) for x in ids for y in ids])
         assert (out / f"kernels_{bc}.csv").read_bytes() == ref.read_bytes()
         info[bc] = {
             "t_min": ev.t_min(),

@@ -33,6 +33,9 @@ def _maximal(metric: ResistanceMetric, weights: np.ndarray) -> np.ndarray:
     out = np.empty(order.shape[1])
     for g in metric.group:
         moved = weights[g]
+        # A stabilized rep is swept once per stabilizer element, same bits each
+        # time; sweeping only the reps g owns gathers order[owned], not a slice,
+        # and is slower (sierpinski m=6 8 -> 12 ms, m=7 84 -> 103 ms).
         for start in range(0, reps.size, rows):
             block = slice(start, start + rows)
             ratios = np.cumsum(moved[order[block]], axis=1)

@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", type=_nonneg_int, required=True)
         else:
             p.add_argument("--level", type=_nonneg_int, default=None)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
         p.add_argument("--out", default="out", help="output directory for artifacts")
 
     p = sub.add_parser("build", help="build and export a level-m vertex graph")
@@ -304,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", choices=list(SUITE_NAMES) + ["all"], default="all")
     p.add_argument("--tol", type=_positive_float, default=1e-8)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_nonneg_int, default=7)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fatou", help="run the Fatou reconstruction batch")
     common(p)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_nonneg_int, default=7)
     p.add_argument("--batch", type=_positive_int, default=16)
     p.set_defaults(func=_cmd_fatou)
 

@@ -21,6 +21,7 @@ cross-validate the result.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -537,10 +538,8 @@ class VertexGraph:
         """The structure's rotation r on V_m (``_lift``)."""
         return self._lift(self.structure.rotation, "rotation")
 
-    def symmetry_group(self) -> np.ndarray:
-        """The dihedral group D_k = <r, s> on V_m, one vertex permutation per row:
-        row a + k b is p -> r^a(s^b(p)), for a < k and b < 2 (b = 0 only when
-        the structure has no involution, k = 1 when it has no rotation)."""
+    @functools.cached_property
+    def _group(self) -> np.ndarray:
         rot = self.vertex_rotation()
         rows = [np.arange(self.n_vertices)]
         while not np.array_equal(nxt := rot[rows[-1]], rows[0]):
@@ -548,7 +547,16 @@ class VertexGraph:
         if self.structure.involution is not None:
             s = self.vertex_involution()
             rows += [row[s] for row in rows]
-        return np.array(rows)
+        group = np.array(rows)
+        group.flags.writeable = False
+        return group
+
+    def symmetry_group(self) -> np.ndarray:
+        """The dihedral group D_k = <r, s> on V_m, one vertex permutation per row:
+        row a + k b is p -> r^a(s^b(p)), for a < k and b < 2 (b = 0 only when
+        the structure has no involution, k = 1 when it has no rotation),
+        lifted once per graph and read-only."""
+        return self._group
 
     def orbit_representatives(self) -> np.ndarray:
         """The smallest vertex of each orbit of ``symmetry_group``, ascending;

@@ -254,7 +254,7 @@ def _irreps(k: int, reflect: bool) -> list[np.ndarray]:
     The 1-dim ones come first, (chi(r), chi(s)) = (1, 1), (1, -1), then
     (-1, 1), (-1, -1) for even k; then the 2-dim rho_j, 1 <= j < k/2, with
     rho_j(r) the rotation by 2 pi j / k and rho_j(s) = diag(1, -1), so that
-    the modes solved for rho are s-even or s-odd as rho(s)[0, 0] says.
+    the modes of rho's row a are s-even or s-odd as rho(s)[a, a] says.
     """
     if not reflect:
         return [np.ones((1, 1, 1))]
@@ -317,23 +317,24 @@ def _orbit_types(group: np.ndarray, reps: np.ndarray, k: int):
     return reps, types
 
 
-def _irrep_basis(rho: np.ndarray, parity: float, group: np.ndarray, reps: np.ndarray, types, n: int):
-    """U, the orthonormal basis of the first-row component of rho, in slot
-    form (cols, coef, size): U is n x size and vertex p has the entry
-    coef[i, p] in column cols[i, p] for every slot i < k <= dim rho, with
-    coefficient 0 where p has fewer than k entries (every vertex off the
-    solved set among them).
+def _irrep_basis(rho: np.ndarray, row: int, parity: float, group: np.ndarray, reps: np.ndarray, types, n: int):
+    """U, the orthonormal basis of the component of rho that transforms like
+    its basis vector ``row``, in slot form (cols, coef, size): U is n x size
+    and vertex p has the entry coef[i, p] in column cols[i, p] for every slot
+    i < k <= dim rho, with coefficient 0 where p has fewer than k entries
+    (every vertex off the solved set among them).
 
     For each orbit type, with stabilizer H and b an orthonormal basis of the
     H-fixed vectors of rho, column o + i * len(reps[sl]) + r of U is
-    u_(x, b_i) for the rep x = reps[sl][r]: the entry (rho(g_c) b)[0, i]
-    sqrt(d / |orbit|) on the point g_c x of slot c, averaged with its s-image.
+    u_(x, b_i) for the rep x = reps[sl][r]: the entry (rho(g_c) b)[row, i]
+    sqrt(d / |orbit|) on the point g_c x of slot c, averaged with its s-image
+    under ``parity`` = rho(s)[row, row].
     """
     d = rho.shape[1]
     pieces, size = [], 0
     for sl, fixed, slots, mirror in types:
         vecs, sv, _ = np.linalg.svd(rho[fixed].mean(axis=0))
-        values = (rho[slots] @ vecs[:, sv > 0.5])[:, 0] * math.sqrt(d / slots.size)
+        values = (rho[slots] @ vecs[:, sv > 0.5])[:, row] * math.sqrt(d / slots.size)
         # averaged with the s-image: every mode is bitwise s-even or s-odd
         values = (values + parity * values[mirror]) * 0.5
         pieces.append((group[slots[:, None], reps[sl]], values, size))
@@ -394,18 +395,19 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
     The pencil is split by the structure's dihedral group G = D_k = <r, s>
     (``VertexGraph.symmetry_group``), whose vertex permutations P_g commute
     with A = M^(-1/2) E M^(-1/2).  For every irreducible representation rho
-    (``_irreps``) and every orbit x of G on the solved vertices, with
-    stabilizer H, the vectors
+    (``_irreps``), each row index a < dim rho and every orbit x of G on the
+    solved vertices, with stabilizer H, the vectors
 
-        u_(x,b) = sqrt(d / |orbit|) sum over points g x of (rho(g) b)_1 e_(g x),
+        u_(x,b) = sqrt(d / |orbit|) sum over points g x of (rho(g) b)_a e_(g x),
 
     b running over an orthonormal basis of the H-fixed vectors of rho, are
-    the columns of an orthonormal basis U of the first-row component of rho
-    (``_irrep_basis``).  A maps that component into itself, so each block
-    U^T A U (``_block``) is solved by its own eigh, and a block eigenvector y
-    is the mode U y on the vertices (``_expand``).  The s-odd partner of a
-    2-dim mode v is (P_r - P_r^-1) v / (2 sin theta_j), with the same
-    eigenvalue.
+    the columns of an orthonormal basis U_a of the component of rho that
+    transforms like its a-th basis vector (``_irrep_basis``).  A maps that
+    component into itself, and U_1 = p_10 U_0 for the isometry p_10 of the
+    row-0 onto the row-1 component, which commutes with A (Serre, section
+    2.7), so U_1^T A U_1 = U_0^T A U_0: the row-0 block (``_block``) is solved
+    by one eigh per irrep, and a block eigenvector y gives the mode U_a y on
+    the vertices (``_expand``) for every row a, with the same eigenvalue.
 
     The modes are then taken in ascending order, in chunks of about
     ``CHUNK_ENTRIES`` entries: each chunk is back-transformed, divided by
@@ -428,26 +430,27 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
     reflect = graph.structure.involution is not None
     k = group.shape[0] // (1 + reflect)
     irreps = _irreps(k, reflect)
-    # the sign of s on each irrep's modes (+1 without s: group row k % |G| = 0)
-    parities = [rho[k % group.shape[0], 0, 0] for rho in irreps]
+    # One mode set per (irrep, row): row 0 of every irrep, then row 1 of each
+    # 2-dim irrep; the stable sort below breaks ties between sets in this order.
+    sets = [(j, 0) for j in range(len(irreps))] + [(j, 1) for j, rho in enumerate(irreps) if rho.shape[1] == 2]
+    source = [j for j, _ in sets]
+    # the sign of s on each set's modes (+1 without s: group row k % |G| = 0)
+    parities = np.array([irreps[j][k % group.shape[0], row, row] for j, row in sets])
     m_half = np.sqrt(mass)
     n = graph.n_vertices
     reps, types = _orbit_types(group, reps, k)
-    bases = [_irrep_basis(rho, parity, group, reps, types, n) for rho, parity in zip(irreps, parities)]
-    # each block is built just before its eigh and freed once solved; the
-    # eigenvectors are kept as rows, so that a chunk's gather copies whole rows
+    bases = [_irrep_basis(irreps[j], row, parity, group, reps, types, n) for (j, row), parity in zip(sets, parities)]
+    # each row-0 block is built just before its eigh and freed once solved;
+    # the eigenvectors are kept as rows, so that a chunk's gather copies whole rows
     solved = []
-    for basis in bases:
+    for basis in bases[: len(irreps)]:
         vals, Y = _solve_block(_block(form, m_half, basis))
         solved.append((vals, np.ascontiguousarray(Y.T)))
         del Y
 
-    # Mode sets: one per irrep, then the s-odd partner set of each 2-dim irrep.
-    partners = [i for i, rho in enumerate(irreps) if rho.shape[1] == 2]
-    sets = [vals for vals, _ in solved] + [solved[i][0] for i in partners]
-    set_parity = np.array(parities + [-1.0] * len(partners))
-    vals = np.concatenate(sets)
-    bounds = np.cumsum([0] + [v.size for v in sets])
+    vals = np.concatenate([solved[j][0] for j in source])
+    sizes = np.array([size for *_, size in bases])
+    bounds = np.cumsum(np.append(0, sizes))
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     # Solver noise scales with the top of the spectrum; true kernel modes sit
@@ -456,12 +459,9 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
     if vals[0] < 0.0:
         raise RuntimeError(f"negative eigenvalue {vals[0]!r} from a PSD pencil")
 
-    # Sorted mode q is column col_of[q] of set set_of[q]; a partner set reads
-    # its irrep's eigenvectors.  (P_r v)(p) = v(r^-1 p).
+    # sorted mode q is block eigenvector col_of[q] of set set_of[q]
     set_of = np.searchsorted(bounds, order, side="right") - 1
     col_of = order - bounds[set_of]
-    source = np.array(list(range(len(irreps))) + partners)
-    rot, rot_inv = group[1 % k], group[k - 1]
     # Dirichlet pairs solve the pencil on interior rows only: the boundary
     # rows of a residual carry the normal derivative and are not read
     unsolved = graph.boundary_ids if bc == "dirichlet" else slice(0)
@@ -470,37 +470,26 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
     resid, sup = np.empty(vals.size), np.empty(vals.size)
 
     def chunk(lo: int, hi: int) -> None:
-        """Sorted modes lo:hi, grouped by irrep (a 2-dim irrep's s-odd
-        partners after its own modes), one per row of phi: back-transformed,
-        divided by M^(1/2), sign-anchored, their residuals and sup norms
-        read, and written into ``out``.  A mode and its partner share one
-        back-transform."""
-        odd = set_of[lo:hi] >= len(irreps)
-        by_irrep = np.argsort(2 * source[set_of[lo:hi]] + odd, kind="stable")
-        irrep, odd = source[set_of[lo:hi]][by_irrep], odd[by_irrep]
-        starts = np.flatnonzero(np.diff(irrep, prepend=-1))
-        phi = np.empty((by_irrep.size, n))
-        for a, b in zip(starts, np.append(starts[1:], by_irrep.size)):
-            j = irrep[a]
-            cols, at = np.unique(col_of[lo:hi][by_irrep[a:b]], return_inverse=True)
-            X = _expand(bases[j], solved[j][1][cols])
-            m = a + np.count_nonzero(~odd[a:b])
-            np.take(X, at[: m - a], axis=0, out=phi[a:m], mode="clip")  # clip: no buffer
-            if m < b:
-                Xo = X[at[m - a :]]
-                np.subtract(np.take(Xo, rot_inv, axis=1), np.take(Xo, rot, axis=1), out=phi[m:b])
-                phi[m:b] *= 0.5 / irreps[j][1, 1, 0]  # 1 / (2 sin theta_j)
+        """Sorted modes lo:hi, grouped by set, one per row of phi: expanded
+        through their set's basis, divided by M^(1/2), sign-anchored, their
+        residuals and sup norms read, and written into ``out``."""
+        by_set = np.argsort(set_of[lo:hi], kind="stable")
+        which, cols = set_of[lo:hi][by_set], col_of[lo:hi][by_set]
+        starts = np.flatnonzero(np.diff(which, prepend=-1))
+        phi = np.empty((by_set.size, n))
+        for a, b in zip(starts, np.append(starts[1:], by_set.size)):
+            phi[a:b] = _expand(bases[which[a]], solved[source[which[a]]][1][cols[a:b]])
         phi *= _anchor_signs(phi.T, m_half)[:, None]
         R = form.apply(phi)
         term = mass * phi
-        term *= vals[lo:hi][by_irrep, None]
+        term *= vals[lo:hi][by_set, None]
         R -= term
         R[:, unsolved] = 0.0
-        resid[lo + by_irrep] = np.maximum(R.max(axis=1), -R.min(axis=1))
+        resid[lo + by_set] = np.maximum(R.max(axis=1), -R.min(axis=1))
         # each mode's anchor entry is its largest magnitude, now positive
-        sup[lo + by_irrep] = phi.max(axis=1)
+        sup[lo + by_set] = phi.max(axis=1)
         if out is not None:
-            out[:, lo:hi] = phi[np.argsort(by_irrep)].T
+            out[:, lo:hi] = phi[np.argsort(by_set)].T
 
     step = max(1, CHUNK_ENTRIES // n)
     for lo in range(0, vals.size, step):
@@ -512,14 +501,13 @@ def eigensystem(form: EnergyForm, bc: str, vectors: bool = True) -> EigenBasis |
         raise RuntimeError(f"eigen residual {resid[worst]:.3e} at mode {worst} exceeds tolerance")
     if bc == "dirichlet" and vals[0] <= 0.0:
         raise RuntimeError("Dirichlet spectrum must be strictly positive")
-    sizes = np.array([v.size for v in sets])
     summary = dict(
         bc=bc,
         graph=graph,
         eigenvalues=vals,
         residuals=resid,
         sup_norms=sup,
-        blocks=(int(sizes[set_parity > 0].sum()), int(sizes[set_parity < 0].sum())),
+        blocks=(int(sizes[parities > 0].sum()), int(sizes[parities < 0].sum())),
         irreps=tuple(int(v) for v in sizes[: len(irreps)]),
     )
     return EigenBasis(vectors=out, mass=mass, **summary) if vectors else Spectrum(**summary)

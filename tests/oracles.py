@@ -326,43 +326,35 @@ def stencil_residuals(form, bc: str, eigenvalues: np.ndarray, V: np.ndarray) -> 
     return out
 
 
-def whole_array_tail(form, bc: str, group, irreps, bases, solved):
+def whole_array_tail(form, bc: str, irreps, bases, solved):
     """An eigenbasis from its block solves by whole-array passes.
 
-    ``irreps``, the slot bases ``(cols, coef, size)`` of the irreps and
-    their eigh results ``solved`` are taken as the solve produced them.
-    Every mode is back-transformed into one n x k array in set layout (one
-    set per irrep, then the s-odd partner set of each 2-dim irrep,
-    (P_r - P_r^-1) v / (2 sin theta)) by one gather per slot over the whole
-    array, divided by M^(1/2), signed by ``argmax_signs`` and sorted by one
-    column gather.  Returns (eigenvalues, vectors, residuals, sup norms, max
-    relative residual).
+    ``irreps``, the slot bases ``(cols, coef, size)`` of the mode sets and
+    the eigh results ``solved`` of the irreps are taken as the solve
+    produced them.  Every mode is back-transformed into one n x k array in
+    set layout (one set per (irrep, row): row 0 of every irrep, then row 1
+    of each 2-dim irrep, which reads its irrep's block eigenvectors) by one
+    gather per slot of its set's basis over the whole array, divided by
+    M^(1/2), signed by ``argmax_signs`` and sorted by one column gather.
+    Returns (eigenvalues, vectors, residuals, sup norms, max relative
+    residual).
     """
     graph = form.graph
     n = graph.n_vertices
-    k = len(group) // (1 + (graph.structure.involution is not None))
-    partners = [i for i, rho in enumerate(irreps) if rho.shape[1] == 2]
-    sets = [vals for vals, _ in solved] + [solved[i][0] for i in partners]
-    vals = np.concatenate(sets)
-    bounds = np.cumsum([0] + [v.size for v in sets])
+    source = list(range(len(irreps))) + [j for j, rho in enumerate(irreps) if rho.shape[1] == 2]
+    vals = np.concatenate([solved[j][0] for j in source])
+    bounds = np.cumsum([0] + [solved[j][0].size for j in source])
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     vals[np.abs(vals) <= 1e-11 * max(1.0, abs(vals[-1]))] = 0.0
     phi = np.zeros((n, vals.size))
-    for lo, hi, (_, Y), (cols, coef, _) in zip(bounds, bounds[1:], solved, bases):
+    for lo, hi, j, (cols, coef, _) in zip(bounds[:-1], bounds[1:], source, bases, strict=True):
         if hi > lo:
+            Y = solved[j][1]
             X = coef[0][:, None] * Y[cols[0]]
             for c, w in zip(cols[1:], coef[1:]):
                 X += w[:, None] * Y[c]
             phi[:, lo:hi] = X
-    rot, rot_inv = group[1 % k], group[k - 1]
-    for i, j in enumerate(partners):
-        even = slice(bounds[j], bounds[j + 1])
-        odd = slice(bounds[len(irreps) + i], bounds[len(irreps) + i + 1])
-        X = phi[rot_inv, even]
-        X -= phi[rot, even]
-        X *= 0.5 / irreps[j][1, 1, 0]
-        phi[:, odd] = X
     phi /= np.sqrt(graph.vertex_mass)[:, None]
     V = phi[:, order] * argmax_signs(phi)[order]
     resid = stencil_residuals(form, bc, vals, V)
@@ -378,26 +370,27 @@ def dense_slot_basis(cols, coef, size: int) -> np.ndarray:
     return U
 
 
-def isotypic_projector(group, rho, keep) -> np.ndarray:
-    """(d / |G|) sum over g of rho(g)_11 P_g on the vertices ``keep`` (a mask
-    the group maps onto itself), zero elsewhere: the orthogonal projector onto
-    the component of the permutation representation that transforms like
-    rho's first basis vector (Serre, section 2.7), P_g e_x = e_(g x)."""
+def isotypic_projector(group, rho, row: int, keep) -> np.ndarray:
+    """(d / |G|) sum over g of rho(g)_(row, row) P_g on the vertices ``keep``
+    (a mask the group maps onto itself), zero elsewhere: the orthogonal
+    projector p_(row, row) onto the component of the permutation
+    representation that transforms like rho's basis vector ``row`` (Serre,
+    section 2.7), P_g e_x = e_(g x)."""
     n = group.shape[1]
     P = np.zeros((n, n))
-    for g, row in enumerate(group):
-        P[row, np.arange(n)] += rho[g, 0, 0]
+    for g, perm in enumerate(group):
+        P[perm, np.arange(n)] += rho[g, row, row]
     P *= rho.shape[1] / len(group)
     P[~keep] = 0.0
     P[:, ~keep] = 0.0
     return P
 
 
-def layout_back_transform(rho, parity: float, group, reps, types, Y) -> np.ndarray:
+def layout_back_transform(rho, row: int, parity: float, group, reps, types, Y) -> np.ndarray:
     """Block vectors Y (one per column) on the vertices, written orbit type by
     orbit type and slot by slot, as the per-type layout of the block solver
     wrote them before the slot basis: with b an orthonormal basis of rho's
-    vectors fixed by the type's stabilizer and v = (rho(g_c) b)_1
+    vectors fixed by the type's stabilizer and v = (rho(g_c) b)_row
     sqrt(d / |orbit|) averaged with its s-image, the points g_c reps of slot
     c get sum_i v[i] Y[o + i R + r]."""
     d = rho.shape[1]
@@ -406,7 +399,7 @@ def layout_back_transform(rho, parity: float, group, reps, types, Y) -> np.ndarr
     for sl, fixed, slots, mirror in types:
         U, sv, _ = np.linalg.svd(rho[fixed].mean(axis=0))
         b = U[:, sv > 0.5]
-        values = (rho[slots] @ b)[:, 0] * math.sqrt(d / slots.size)
+        values = (rho[slots] @ b)[:, row] * math.sqrt(d / slots.size)
         values = (values + parity * values[mirror]) * 0.5
         R = sl.stop - sl.start
         for g, v in zip(slots, values):

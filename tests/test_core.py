@@ -10,12 +10,15 @@ from pcftube.core import (
     BudgetError,
     ResistanceMetric,
     StructureError,
+    VertexGraph,
     build_level,
     load_structure,
     scaling_constants,
     similarity_dimension,
     word_products,
 )
+
+from pcftube.spectral import eigensystem, energy_matrix
 
 from oracles import (
     bincount_energy_matrix,
@@ -341,6 +344,38 @@ def test_vertex_involution_rejects_a_reflection_the_gluing_breaks():
     G = build_level(dataclasses.replace(S, involution=((0, 2, 1), (0, 2, 1))), 2)
     with pytest.raises(StructureError, match="does not lift"):
         G.vertex_involution()
+    # the group keeps no partial result: every use raises again
+    for _ in range(2):
+        with pytest.raises(StructureError, match="does not lift"):
+            G.symmetry_group()
+        with pytest.raises(StructureError, match="does not lift"):
+            G.orbit_representatives()
+
+
+def test_symmetry_group_is_lifted_once_per_graph(monkeypatch):
+    G = build_level(load_structure("sierpinski"), 4)
+    lifted = []
+    lift = VertexGraph._lift
+
+    def counting_lift(self, symmetry, name):
+        lifted.append(name)
+        return lift(self, symmetry, name)
+
+    monkeypatch.setattr(VertexGraph, "_lift", counting_lift)
+    group = G.symmetry_group()
+    reps = G.orbit_representatives()
+    ResistanceMetric(eigensystem(energy_matrix(G), "neumann"))
+    assert G.symmetry_group() is group
+    assert sorted(lifted) == ["involution", "rotation"]
+    # read-only, so no reader can change what the others see
+    assert not group.flags.writeable
+    with pytest.raises(ValueError):
+        group[0, 0] = 1
+    # a new graph of the same level lifts its own group, equal to the first
+    H = build_level(load_structure("sierpinski"), 4)
+    assert np.array_equal(H.symmetry_group(), group)
+    assert np.array_equal(H.orbit_representatives(), reps)
+    assert len(lifted) == 4
 
 
 @pytest.mark.parametrize(

@@ -271,7 +271,7 @@ def test_residuals_catch_perturbed_pair(stacks, monkeypatch):
 
 def test_residuals_single_out_the_perturbed_mode(stacks, monkeypatch):
     # with the gate lifted, one entry of irrep j's block eigenvector 5 moved by
-    # 1e-6 puts the residual of that mode (and of its s-odd partner, for a
+    # 1e-6 puts the residual of that mode (and of its row-1 mode, for a
     # 2-dim irrep) over the tolerance, and no other mode's
     form = stacks("sierpinski", 5).form
     tol = spectral.RESIDUAL_TOL
@@ -354,8 +354,9 @@ ASYMMETRIC = {"preset": "sierpinski", "mu": [0.2, 0.3, 0.5]}
 def _pentagasket() -> dict:
     """Five maps of ratio (3 - sqrt 5) / 2 toward the corners of a regular
     pentagon, neighbours touching at one point: symmetry group D_5, with the
-    two 2-dim irreps no preset has.  D is the complete graph; the split needs
-    the symmetry only."""
+    two 2-dim irreps no preset has.  D is the complete graph and every r is
+    (sqrt 161 - 9) / 8; the split needs the symmetry only, not a harmonic
+    structure."""
     c = (3.0 - math.sqrt(5.0)) / 2.0
     corners = [[math.cos(2.0 * math.pi * i / 5 + math.pi / 2), math.sin(2.0 * math.pi * i / 5 + math.pi / 2)] for i in range(5)]
     return {
@@ -364,7 +365,7 @@ def _pentagasket() -> dict:
         "boundary": corners,
         "identifications": [[i, (i + 2) % 5, (i + 1) % 5, (i + 4) % 5] for i in range(5)],
         "D": (np.ones((5, 5)) - 5.0 * np.eye(5)).tolist(),
-        "r": [0.5] * 5,
+        "r": [(math.sqrt(161.0) - 9.0) / 8.0] * 5,
     }
 
 
@@ -404,6 +405,56 @@ def test_split_modes_have_a_parity(stacks):
         odd = np.abs(V[perm] + V).max(axis=0) == 0.0
         assert np.all(even ^ odd)
         assert np.count_nonzero(odd) == st.basis(bc).blocks[1]
+
+
+@pytest.mark.parametrize(
+    "m, bc, n, irreps",
+    [
+        (2, "dirichlet", 95, (10, 8, 18, 18)),
+        (2, "neumann", 95, (11, 8, 19, 19)),
+        (3, "dirichlet", 470, (48, 45, 93, 93)),
+        (3, "neumann", 470, (49, 45, 94, 94)),
+    ],
+)
+def test_pentagasket_rows_of_both_two_dim_irreps(m, bc, n, irreps):
+    # D_5 has two 2-dim irreps, rho_1 and rho_2, so its mode sets are ordered
+    # row 0 of all four irreps, then row 1 of rho_1 and of rho_2.  Each mode
+    # is told apart by its rotation overlap <phi, M P_r phi> = cos(2 pi j / 5)
+    # (1 on a 1-dim irrep), which no set bookkeeping enters.  The eigenvalues
+    # against one unsplit eigh are test_split_eigensystem_matches_full_eigh's
+    # pentagasket case.
+    S = load_structure(_pentagasket())
+    assert S.involution == ((0, 4, 3, 2, 1), (0, 4, 3, 2, 1))
+    assert S.rotation == ((1, 2, 3, 4, 0), (1, 2, 3, 4, 0))
+    G = build_level(S, m)
+    assert G.n_vertices == n
+    b = eigensystem(energy_matrix(G), bc)
+    assert b.irreps == irreps
+    # 1.1e-13 and 3.3e-15 measured
+    assert b.max_residual <= 1e-12
+    assert b.gram_deviation() <= 1e-14
+    V, vals = b.vectors, b.eigenvalues
+    s, rot = G.vertex_involution(), G.vertex_rotation()
+    even = np.all(V[s] == V, axis=0)
+    odd = np.all(V[s] == -V, axis=0)
+    assert np.all(even ^ odd)
+    assert (np.count_nonzero(even), np.count_nonzero(odd)) == b.blocks
+    turn = np.einsum("pq,p,pq->q", V, G.vertex_mass, V[rot])
+    levels = np.array([1.0, math.cos(2.0 * math.pi / 5), math.cos(4.0 * math.pi / 5)])
+    j = np.abs(turn[:, None] - levels).argmin(axis=1)
+    assert np.abs(turn - levels[j]).max() <= 1e-12
+    for jj in (1, 2):
+        # row 0 (s-even) and row 1 (s-odd) of rho_jj: one eigenvalue list, bitwise
+        row0, row1 = vals[(j == jj) & even], vals[(j == jj) & odd]
+        assert row0.size == row1.size == irreps[1 + jj]
+        assert np.array_equal(row0, row1)
+    assert np.count_nonzero(j == 0) == irreps[0] + irreps[1]
+    # the mode sets in solve order: trivial, sign, rho_1 and rho_2 row 0,
+    # rho_1 and rho_2 row 1; bitwise ties keep that order (stable sort)
+    key = np.where(j == 0, odd, np.where(even, 1 + j, 3 + j))
+    runs = np.split(np.arange(vals.size), np.flatnonzero(np.diff(vals) != 0.0) + 1)
+    assert max(run.size for run in runs) > 1
+    assert all(np.all(np.diff(key[run]) >= 0) for run in runs)
 
 
 @pytest.mark.parametrize("preset, m, k", [("sierpinski", 5, 3), ("vicsek", 3, 4)])
@@ -630,13 +681,15 @@ def test_chunked_pass_matches_whole_array_tail(monkeypatch, preset, m, bc, modes
     for vectors in (True, False):
         seen.clear()
         b = eigensystem(form, bc, vectors=vectors)
-        bases, solved = seen["_irrep_basis"], seen["_solve_block"]
-        # one block per basis, of its size, built and solved in irrep order
-        assert [block.shape for block in seen["_block"]] == [(size, size) for *_, size in bases]
-        assert [Y.shape for _, Y in solved] == [(size, size) for *_, size in bases]
-        vals, V, resid, sup, worst = whole_array_tail(
-            form, bc, form.graph.symmetry_group(), seen["_irreps"][0], bases, solved
-        )
+        irreps, bases, solved = seen["_irreps"][0], seen["_irrep_basis"], seen["_solve_block"]
+        # one block per irrep, of its row-0 basis's size, built and solved in
+        # irrep order; each 2-dim irrep's row-1 basis has that size too
+        row0 = [size for *_, size in bases[: len(irreps)]]
+        row1 = [size for rho, size in zip(irreps, row0) if rho.shape[1] == 2]
+        assert [size for *_, size in bases[len(irreps) :]] == row1
+        assert [block.shape for block in seen["_block"]] == [(size, size) for size in row0]
+        assert [Y.shape for _, Y in solved] == [(size, size) for size in row0]
+        vals, V, resid, sup, worst = whole_array_tail(form, bc, irreps, bases, solved)
         assert modes != 37 or b.n_modes % 37 != 0
         assert np.array_equal(b.eigenvalues, vals)
         assert np.array_equal(b.residuals, resid)
@@ -669,10 +722,11 @@ EMPTY_IRREP = {
     + [(preset, 1, bc) for preset, _ in SMALL_STACKS for bc in ("dirichlet", "neumann")],
 )
 def test_irrep_basis_against_dense_oracles(monkeypatch, preset, m, bc):
-    # Each slot basis U, made dense, is orthonormal and spans the component
-    # of its irrep (U U^T is the isotypic projector), the components tile the
-    # solved vertices, _block is the dense U^T A U and _expand is the per-type
-    # back-transform of the earlier layout, bit for bit.
+    # Each slot basis U_r, made dense, is orthonormal and spans the component
+    # of its irrep's row r (U_r U_r^T is the projector p_rr), the two rows of
+    # a 2-dim irrep are orthogonal, the components tile the solved vertices,
+    # _block is the dense U_0^T A U_0 and equals U_1^T A U_1, and _expand is
+    # the per-type back-transform of the earlier layout, bit for bit.
     form = energy_matrix(build_level(load_structure(preset), m))
     graph = form.graph
     n = graph.n_vertices
@@ -694,24 +748,35 @@ def test_irrep_basis_against_dense_oracles(monkeypatch, preset, m, bc):
     keep = graph.interior_mask() if bc == "dirichlet" else np.ones(n, dtype=bool)
     m_half = np.sqrt(graph.vertex_mass)
     A = bincount_energy_matrix(graph) / m_half[:, None] / m_half[None, :]
+    tol = 1e-15 * np.abs(A).max()
     rng = np.random.default_rng(25)
-    sizes = []
-    for ((rho, parity, group, reps, types, _), basis), B in zip(calls, blocks, strict=True):
+    sizes, row0 = [], []
+    for (rho, row, parity, group, reps, types, _), basis in calls:
         cols, coef, size = basis
         assert cols.shape == coef.shape and cols.shape[0] <= rho.shape[1] and cols.shape[1] == n
         assert not np.any(coef[:, ~keep])
         U = dense_slot_basis(cols, coef, size)
         assert np.all(np.abs(U.T @ U - np.eye(size)) <= 1e-15)
-        assert np.all(np.abs(U @ U.T - isotypic_projector(group, rho, keep)) <= 1e-15)
-        ref = U.T @ A @ U
-        assert B.shape == ref.shape
-        # relative to the largest entry of A; 3.1e-16 measured
-        assert np.all(np.abs(B - ref) <= 1e-15 * np.abs(A).max())
+        assert np.all(np.abs(U @ U.T - isotypic_projector(group, rho, row, keep)) <= 1e-15)
+        if row == 0:
+            # one block per irrep, built from its row-0 basis
+            B = blocks[len(row0)]
+            row0.append((rho, U, B))
+            ref = U.T @ A @ U
+            assert B.shape == ref.shape
+            # relative to the largest entry of A; 3.1e-16 measured
+            assert np.all(np.abs(B - ref) <= tol)
+        else:
+            # row 1 of a 2-dim irrep: orthogonal to row 0, with row 0's block
+            U0, B = next((U0, B) for r, U0, B in row0 if r is rho)
+            assert np.all(np.abs(U0.T @ U) <= 1e-15)
+            assert np.all(np.abs(U.T @ A @ U - B) <= tol)
         if size:
             Y = rng.standard_normal((size, 5))
-            ref = layout_back_transform(rho, parity, group, reps, types, Y)
+            ref = layout_back_transform(rho, row, parity, group, reps, types, Y)
             assert np.array_equal(spectral._expand(basis, Y.T), ref.T)
-        sizes.append(rho.shape[1] * size)
+        sizes.append(size)
+    assert len(row0) == len(blocks)
     assert sum(sizes) == np.count_nonzero(keep)
     assert (0 in sizes) == ((preset, m, bc) in EMPTY_IRREP)
 

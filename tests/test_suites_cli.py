@@ -216,8 +216,22 @@ def test_cli_build_artifacts(tmp_path):
         ["verify", "--level", "3", "--tol", "0"],
         ["verify", "--level", "3", "--tol", "nan"],
         ["spectrum", "--levels", "3,-1"],
+        # a negative seed would reach the suites' random generators, and a
+        # budget of no corner slots would report every level as over budget
+        ["verify", "--level", "3", "--suite", "all", "--seed", "-1"],
+        ["verify", "--level", "3", "--suite", "core", "--seed", "-1"],
+        ["fatou", "--level", "3", "--seed", "-1"],
+        ["verify", "--level", "3", "--seed", "1.5"],
+        ["build", "--level", "3", "--budget", "-5"],
+        ["build", "--level", "3", "--budget", "0"],
+        ["spectrum", "--levels", "3", "--budget", "-5"],
+        ["kernel", "--level", "3", "--budget", "0"],
     ],
-    ids=["build-level", "kernel-t-grid", "kernel-tol", "fatou-batch", "verify-tol", "verify-tol-nan", "spectrum-levels"],
+    ids=[
+        "build-level", "kernel-t-grid", "kernel-tol", "fatou-batch", "verify-tol", "verify-tol-nan", "spectrum-levels",
+        "verify-all-seed", "verify-core-seed", "fatou-seed", "verify-seed-float",
+        "build-budget", "build-budget-0", "spectrum-budget", "kernel-budget",
+    ],
 )
 def test_cli_negative_level_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
